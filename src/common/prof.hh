@@ -77,9 +77,8 @@ nowNs()
 }
 
 /**
- * Per-queue dispatch accounting, written only by the thread running
- * that queue's epoch (cache-line padded so neighboring shards never
- * false-share). Slots are sized to the full 3-bit tag space so a
+ * Per-queue dispatch accounting, written only while that queue's shard
+ * runs its epoch. Slots are sized to the full 3-bit tag space so a
  * masked value can never index out of bounds.
  */
 struct alignas(64) QueueProfile

@@ -15,7 +15,7 @@ ShardFabric::deliverAll(const std::vector<EventQueue *> &queues)
         // Merge the incoming lanes of `dst` into one deterministic
         // stream. Sort keys are unique — seq is per-lane and src breaks
         // inter-lane ties — so the order is a total order independent of
-        // which host threads produced the messages.
+        // the order the shards ran in.
         for (std::uint32_t src = 0; src < numShards_; ++src) {
             Lane &lane = lanes[std::size_t(src) * numShards_ + dst];
             for (Message &msg : lane.box) {
@@ -58,73 +58,6 @@ ShardFabric::inFlight() const
         n += lane.box.size();
     }
     return n;
-}
-
-ShardWorkers::ShardWorkers(std::uint32_t num_workers)
-    : numWorkers(num_workers ? num_workers : 1)
-{
-    threads.reserve(numWorkers - 1);
-    for (std::uint32_t w = 1; w < numWorkers; ++w) {
-        threads.emplace_back([this, w] { workerLoop(w); });
-    }
-}
-
-ShardWorkers::~ShardWorkers()
-{
-    {
-        std::lock_guard<std::mutex> lock(m);
-        stopping = true;
-    }
-    cvStart.notify_all();
-    for (std::thread &t : threads) {
-        t.join();
-    }
-}
-
-void
-ShardWorkers::run(const std::function<void(std::uint32_t)> &fn)
-{
-    if (numWorkers == 1) {
-        fn(0);
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(m);
-        work = &fn;
-        running = numWorkers - 1;
-        ++generation;
-    }
-    cvStart.notify_all();
-    fn(0);
-    std::unique_lock<std::mutex> lock(m);
-    cvDone.wait(lock, [this] { return running == 0; });
-    work = nullptr;
-}
-
-void
-ShardWorkers::workerLoop(std::uint32_t index)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        const std::function<void(std::uint32_t)> *job = nullptr;
-        {
-            std::unique_lock<std::mutex> lock(m);
-            cvStart.wait(lock, [&] {
-                return stopping || generation != seen;
-            });
-            if (stopping) {
-                return;
-            }
-            seen = generation;
-            job = work;
-        }
-        (*job)(index);
-        {
-            std::lock_guard<std::mutex> lock(m);
-            --running;
-        }
-        cvDone.notify_one();
-    }
 }
 
 } // namespace dbsim

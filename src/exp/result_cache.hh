@@ -5,7 +5,7 @@
  *
  * Every Sim/MixSim point has a canonical serialization — a stable,
  * locale-independent key/value string covering each semantic field of
- * the SystemConfig (execution-only knobs like numShards and passive
+ * the SystemConfig (numShards, which has no effect, and passive
  * observers like the auditor and telemetry are excluded: they never
  * change results). The FNV-1a/64 hash of that string keys a persistent
  * on-disk store: a directory of JSONL shard files plus an index.json
@@ -51,7 +51,7 @@ std::string keyHex(std::uint64_t key);
 /**
  * Canonical serialization of every semantic field of `cfg` (the
  * fields that can change simulated results). Deliberately excluded:
- * numShards (execution-only), auditEvery and telemetry (passive
+ * numShards (no effect), auditEvery and telemetry (passive
  * observers), progress/host plumbing.
  */
 std::string canonicalConfig(const SystemConfig &cfg);

@@ -440,7 +440,7 @@ FarmService::runSweep(const JsonValue &req, int fd)
 
     bool sent = false;
     std::uint64_t warmup = 0, measure = 0, seed = 0;
-    std::uint64_t slices = 0, channels = 0, hop = 0, shards = 0;
+    std::uint64_t slices = 0, channels = 0, hop = 0;
     std::uint64_t jobs = cfg.jobs;
     if (!optU64(req, "warmup", warmup, fd, &sent) ||
         !optU64(req, "measure", measure, fd, &sent) ||
@@ -448,7 +448,6 @@ FarmService::runSweep(const JsonValue &req, int fd)
         !optU64(req, "slices", slices, fd, &sent) ||
         !optU64(req, "channels", channels, fd, &sent) ||
         !optU64(req, "hop", hop, fd, &sent) ||
-        !optU64(req, "shards", shards, fd, &sent) ||
         !optU64(req, "jobs", jobs, fd, &sent)) {
         if (sent) {
             // optU64 sent the error itself; count it here so every
@@ -512,7 +511,6 @@ FarmService::runSweep(const JsonValue &req, int fd)
     spec.base().llcSlices = static_cast<std::uint32_t>(slices);
     spec.base().dram.channels = static_cast<std::uint32_t>(channels);
     spec.base().shardHopLatency = hop;
-    spec.base().numShards = static_cast<std::uint32_t>(shards);
     spec.base().auditEvery = 0;
     spec.setAloneBase(spec.base());
 

@@ -15,7 +15,7 @@
  *    "mixes":[["milc","lbm"],["mcf","gcc"]],
  *    "kind":"mix",              // "sim" | "mix" (default "sim")
  *    "warmup":30000,"measure":20000,"seed":1,   // optional
- *    "slices":0,"channels":0,"hop":0,"shards":0, // optional topology
+ *    "slices":0,"channels":0,"hop":0,           // optional topology
  *    "jobs":4,"experiment":"farm"}               // optional execution
  *   {"op":"shutdown"}
  *

@@ -103,7 +103,7 @@ class SweepSpec
     /**
      * Apply `fn` to every config the spec embeds: base, alone-base,
      * and each already-added point's. The harness's machine-shape
-     * flags (--shards/--slices/--channels/--hop) go through here so
+     * flags (--slices/--channels/--hop) go through here so
      * every experiment honors them without per-bench plumbing.
      */
     void overrideConfigs(const std::function<void(SystemConfig &)> &fn);

@@ -10,7 +10,8 @@
  * on any divergence, so a quiet run certifies the dirty bookkeeping at
  * both levels simultaneously. The suite closes with full-System runs:
  * audited, dcache-enabled, sharded machines must stay quiet and remain
- * bit-identical across worker counts.
+ * bit-identical whatever SystemConfig::numShards says (the knob is
+ * accepted with no effect).
  */
 
 #include <gtest/gtest.h>
@@ -178,7 +179,8 @@ TEST(PropertyDCache, BothDirtyLevelsStayQuietUnderOneStream)
 TEST(PropertyDCache, AuditedShardedSystemsStayQuietAndThreadInvariant)
 {
     // Whole-machine closure: 4 cores / 4 slices / 4 channels with the
-    // dcache tier enabled, auditors on at both levels, 1 worker vs 4.
+    // dcache tier enabled, auditors on at both levels, numShards 1 vs 4
+    // (accepted with no effect: every shard runs on the calling thread).
     // System::run panics on any divergence and checkFinal runs at
     // result assembly, so equality of the results is the whole claim.
     for (bool tags : {false, true}) {

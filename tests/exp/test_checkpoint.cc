@@ -19,6 +19,7 @@
 #include "exp/checkpoint.hh"
 #include "exp/jsonl_read.hh"
 #include "exp/runner.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::exp {
 namespace {
@@ -69,10 +70,7 @@ class CheckpointTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = ::testing::TempDir() + "dbsim_checkpoint_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
+        dir = test::tempPath("dbsim_checkpoint");
         std::filesystem::remove_all(dir);
         std::filesystem::create_directories(dir);
         jsonl = dir + "/out.jsonl";
@@ -110,7 +108,7 @@ TEST(SweepSpecHash, DistinguishesContentNotExecution)
     c.overrideConfigs([](SystemConfig &cfg) { cfg.seed = 99; });
     EXPECT_NE(sweepSpecHash(a), sweepSpecHash(c));
 
-    // numShards is execution-only: same sweep, same hash.
+    // numShards has no effect: same sweep, same hash.
     SweepSpec d = tinySweep();
     d.overrideConfigs([](SystemConfig &cfg) { cfg.numShards = 8; });
     EXPECT_EQ(sweepSpecHash(a), sweepSpecHash(d));

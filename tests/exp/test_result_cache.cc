@@ -23,6 +23,7 @@
 
 #include "exp/result_cache.hh"
 #include "exp/runner.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::exp {
 namespace {
@@ -32,11 +33,7 @@ class ResultCacheTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = ::testing::TempDir() + "dbsim_result_cache_" +
-              std::to_string(::getpid()) + "_" +
-              ::testing::UnitTest::GetInstance()
-                  ->current_test_info()
-                  ->name();
+        dir = test::tempPath("dbsim_result_cache");
         std::filesystem::remove_all(dir);
         // Pin the stamp: these tests exercise persistence across
         // ResultCache instances, which requires a stable stamp.
@@ -155,8 +152,7 @@ TEST(CanonicalConfig, RewritingTraceInPlaceFlipsTheKey)
     // The trace participates by content hash: an in-place rewrite must
     // flip the key even though path, size, and record count are all
     // unchanged — the staleness case mtime-free caches get wrong.
-    const std::string trace =
-        ::testing::TempDir() + "dbsim_cache_trace_key.txt";
+    const std::string trace = test::tempPath("dbsim_cache_trace_key.txt");
     std::ofstream(trace) << "1 R 1000\n2 W 2000\n";
 
     SystemConfig cfg;
@@ -176,8 +172,7 @@ TEST(Fnv1a64, FileHashMatchesInMemoryHash)
 {
     // fnv1a64File streams in chunks; it must agree with the in-memory
     // hash of the same bytes, including across its refill boundary.
-    const std::string path =
-        ::testing::TempDir() + "dbsim_cache_hash_file.bin";
+    const std::string path = test::tempPath("dbsim_cache_hash_file.bin");
     std::string content;
     for (int i = 0; i < 300'000; ++i) { // well past one 64KB chunk
         content.push_back(static_cast<char>(i * 131 % 251));

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "exp/runner.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::exp {
 namespace {
@@ -106,7 +107,7 @@ TEST(ExperimentRunner, MixSimRecordsCarryMulticoreMetrics)
 
 TEST(ExperimentRunner, JsonlSinkStreamsEveryRecord)
 {
-    std::string path = ::testing::TempDir() + "dbsim_runner_test.jsonl";
+    std::string path = test::tempPath("dbsim_runner_test.jsonl");
     std::remove(path.c_str());
 
     RunOptions opts;

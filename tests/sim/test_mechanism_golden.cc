@@ -21,83 +21,36 @@
 namespace dbsim {
 namespace {
 
-/**
- * Split the snapshot into per-run blocks keyed by the "run <label> |
- * <mix>" header line (header included in the block, so a comparison
- * failure prints which run it is).
- */
-std::map<std::string, std::string>
-goldenBlocks()
-{
-    std::map<std::string, std::string> blocks;
-    const std::string all(kMechanismGolden);
-    std::string key;
-    std::size_t pos = 0;
-    while (pos < all.size()) {
-        std::size_t eol = all.find('\n', pos);
-        if (eol == std::string::npos) {
-            eol = all.size();
-        }
-        const std::string line = all.substr(pos, eol - pos);
-        if (line.rfind("run ", 0) == 0) {
-            key = line;
-            blocks[key] = line + "\n";
-        } else if (!key.empty() && !line.empty()) {
-            blocks[key] += line + "\n";
-        }
-        pos = eol + 1;
-    }
-    return blocks;
-}
-
 class MechanismGolden : public testing::TestWithParam<std::size_t>
 {};
 
 TEST_P(MechanismGolden, PresetReproducesSnapshotExactly)
 {
     const golden::GoldenRun &g = golden::goldenRuns()[GetParam()];
-    SystemConfig cfg =
-        golden::goldenConfig(static_cast<std::uint32_t>(g.mix.size()));
-    cfg.mech = mechanismByName(g.preset);
+    const SimResult r = runWorkload(g.cfg, g.mix);
+    const std::string got = golden::goldenSerialize(g.label, g.mix, r);
 
-    const SimResult r = runWorkload(cfg, g.mix);
-    const std::string got = golden::goldenSerialize(g.preset, g.mix, r);
-
-    const std::string key =
-        "run " + std::string(g.preset) + " | " + mixLabel(g.mix);
+    const std::string key = golden::goldenKey(g.label, g.mix);
     static const std::map<std::string, std::string> blocks =
-        goldenBlocks();
+        golden::goldenBlocks(kMechanismGolden);
     auto it = blocks.find(key);
     ASSERT_NE(it, blocks.end()) << "no golden block for " << key;
     EXPECT_EQ(got, it->second);
 }
 
-std::string
-goldenTestName(const testing::TestParamInfo<std::size_t> &info)
-{
-    const golden::GoldenRun &g = golden::goldenRuns()[info.param];
-    std::string name =
-        std::string(g.preset) + "_" + mixLabel(g.mix);
-    for (char &c : name) {
-        if (!std::isalnum(static_cast<unsigned char>(c))) {
-            c = '_';
-        }
-    }
-    return name;
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Table2, MechanismGolden,
     testing::Range<std::size_t>(0, golden::goldenRuns().size()),
-    goldenTestName);
+    [](const testing::TestParamInfo<std::size_t> &info) {
+        return golden::goldenTestName(golden::goldenRuns()[info.param]);
+    });
 
 TEST(MechanismGolden, SnapshotCoversEveryPresetAndMix)
 {
-    const auto blocks = goldenBlocks();
+    const auto blocks = golden::goldenBlocks(kMechanismGolden);
     EXPECT_EQ(blocks.size(), golden::goldenRuns().size());
     for (const golden::GoldenRun &g : golden::goldenRuns()) {
-        const std::string key =
-            "run " + std::string(g.preset) + " | " + mixLabel(g.mix);
+        const std::string key = golden::goldenKey(g.label, g.mix);
         EXPECT_TRUE(blocks.count(key)) << key;
     }
 }

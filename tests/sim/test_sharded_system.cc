@@ -66,8 +66,6 @@ TEST(Topology, BigMachinesDeriveOneSlicePer16Cores)
     EXPECT_EQ(t.channels, 4u);  // defaults to one per slice
     EXPECT_EQ(t.partitions, 4u);
     EXPECT_EQ(t.hopLatency, 64u);
-    EXPECT_GE(t.workers, 1u);
-    EXPECT_LE(t.workers, 4u);
 }
 
 TEST(Topology, AsymmetricSliceChannelCountsPartitionByTheMax)
@@ -84,19 +82,6 @@ TEST(Topology, AsymmetricSliceChannelCountsPartitionByTheMax)
     // [0, channels), slices [0, slices).
     EXPECT_EQ(t.partitionOfChannel(1), 1u);
     EXPECT_EQ(t.partitionOfSlice(3), 3u);
-}
-
-TEST(Topology, NumShardsIsPureExecutionKnobClampedToPartitions)
-{
-    TopologySpec spec;
-    spec.numCores = 4;
-    spec.llcSlices = 2;
-    spec.numShards = 16;
-    spec.llcTotalBytes = 8ull << 20;
-    spec.llcAssoc = 32;
-    EXPECT_EQ(resolveTopology(spec).workers, 2u);
-    spec.numShards = 1;
-    EXPECT_EQ(resolveTopology(spec).workers, 1u);
 }
 
 TEST(Topology, DbiRowsNeverStraddleSlicesOrChannels)

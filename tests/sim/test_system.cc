@@ -11,6 +11,7 @@
 #include "exp/alone_cache.hh"
 #include "sim/metrics.hh"
 #include "sim/system.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim {
 namespace {
@@ -204,7 +205,7 @@ TEST(Metrics, AloneIpcCacheIsConsistent)
 TEST(SystemIntegration, FileTraceWorkload)
 {
     // Write a small streaming trace and run it through the system.
-    std::string path = ::testing::TempDir() + "dbsim_sys_trace.txt";
+    std::string path = test::tempPath("dbsim_sys_trace.txt");
     {
         std::vector<TraceOp> records;
         for (Addr a = 0; a < 512; ++a) {

@@ -9,6 +9,7 @@
 
 #include "common/stats.hh"
 #include "telemetry/sampler.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::telemetry {
 namespace {
@@ -132,7 +133,7 @@ TEST(StatSampler, FinishOnEmptyRunStillEmitsOneEpoch)
 
 TEST(StatSampler, JsonlStreamHasOneParseableRowPerEpoch)
 {
-    std::string path = ::testing::TempDir() + "sampler_test.jsonl";
+    std::string path = test::tempPath("sampler_test.jsonl");
     {
         StatSampler s(10);
         s.openJsonl(path);

@@ -17,6 +17,7 @@
 
 #include "common/prof.hh"
 #include "sim/system.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim {
 namespace {
@@ -150,7 +151,7 @@ TEST(TelemetrySystem, EpochRingCoversTheRun)
 
 TEST(TelemetrySystem, TraceFileIsWellFormedJson)
 {
-    std::string path = ::testing::TempDir() + "telemetry_test.trace.json";
+    std::string path = test::tempPath("telemetry_test.trace.json");
     {
         SystemConfig cfg = quickConfig(Mechanism::DbiAwb);
         cfg.telemetry.tracePath = path;
@@ -204,11 +205,10 @@ TEST(TelemetrySystem, ShardedFlightRecorderIsAnObserver)
     plain.core.measureInstrs = 60'000;
     plain.llcSlices = 4;
     plain.dram.channels = 4;
-    plain.numShards = 4;
     WorkloadMix mix{"lbm", "libquantum", "mcf", "stream"};
     SimResult a = runWorkload(plain, mix);
 
-    std::string trace = ::testing::TempDir() + "fr_neutral.trace.json";
+    std::string trace = test::tempPath("fr_neutral.trace.json");
     SystemConfig observed = plain;
     observed.telemetry.tracePath = trace;
     observed.telemetry.sampleEvery = 10'000;

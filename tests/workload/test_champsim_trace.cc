@@ -23,6 +23,7 @@
 
 #include "workload/champsim_trace.hh"
 #include "workload/trace_decode.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim {
 namespace {
@@ -74,7 +75,7 @@ class ChampSimTraceTest : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "dbsim_champsim_test.champsim";
+        path = test::tempPath("dbsim_champsim_test.champsim");
     }
 
     void TearDown() override { std::remove(path.c_str()); }

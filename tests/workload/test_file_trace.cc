@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "workload/file_trace.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim {
 namespace {
@@ -30,7 +31,7 @@ class FileTraceTest : public ::testing::Test
     void
     SetUp() override
     {
-        path = ::testing::TempDir() + "dbsim_trace_test.txt";
+        path = test::tempPath("dbsim_trace_test.txt");
     }
 
     void TearDown() override { std::remove(path.c_str()); }
