@@ -20,17 +20,6 @@ registry()
     return experiments;
 }
 
-std::uint64_t
-parseUint(const char *flag, const std::string &text)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
-    fatal_if(end == text.c_str() || *end != '\0',
-             "%s expects an unsigned integer, got '%s'", flag,
-             text.c_str());
-    return v;
-}
-
 void
 printUsage(const char *argv0)
 {
@@ -92,7 +81,7 @@ HarnessOptions::posIntOr(std::size_t i, std::uint64_t def) const
     if (i >= positional.size()) {
         return def;
     }
-    return parseUint("positional argument", positional[i]);
+    return parseUintArg("positional argument", positional[i]);
 }
 
 std::string
@@ -182,22 +171,22 @@ harnessMain(int argc, char **argv)
         const char *arg = argv[i];
         if (std::strcmp(arg, "--jobs") == 0) {
             opts.jobs = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
+                parseUintArg(arg, needValue(i), UINT32_MAX));
             ++i;
         } else if (std::strcmp(arg, "--json") == 0) {
             opts.jsonPath = needValue(i);
             ++i;
         } else if (std::strcmp(arg, "--seed") == 0) {
-            opts.seed = parseUint(arg, needValue(i));
+            opts.seed = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--warmup") == 0) {
-            opts.warmup = parseUint(arg, needValue(i));
+            opts.warmup = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--measure") == 0) {
-            opts.measure = parseUint(arg, needValue(i));
+            opts.measure = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--instrs") == 0) {
-            std::uint64_t k = parseUint(arg, needValue(i));
+            std::uint64_t k = parseUintArg(arg, needValue(i));
             opts.warmup = k;
             opts.measure = k;
             ++i;
@@ -205,32 +194,32 @@ harnessMain(int argc, char **argv)
             opts.mechSpec = needValue(i);
             ++i;
         } else if (std::strcmp(arg, "--audit") == 0) {
-            opts.auditEvery = parseUint(arg, needValue(i));
+            opts.auditEvery = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--slices") == 0) {
             opts.slices = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
+                parseUintArg(arg, needValue(i), UINT32_MAX));
             ++i;
         } else if (std::strcmp(arg, "--channels") == 0) {
             opts.channels = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
+                parseUintArg(arg, needValue(i), UINT32_MAX));
             ++i;
         } else if (std::strcmp(arg, "--hop") == 0) {
-            opts.hopLatency = parseUint(arg, needValue(i));
+            opts.hopLatency = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--dcache") == 0) {
             opts.dcache = true;
         } else if (std::strcmp(arg, "--dcache-mb") == 0) {
-            opts.dcacheMb = parseUint(arg, needValue(i));
+            opts.dcacheMb = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--dcache-rows") == 0) {
             opts.dcacheRows = static_cast<std::uint32_t>(
-                parseUint(arg, needValue(i)));
+                parseUintArg(arg, needValue(i), UINT32_MAX));
             ++i;
         } else if (std::strcmp(arg, "--dcache-tags") == 0) {
             opts.dcacheTags = true;
         } else if (std::strcmp(arg, "--sample") == 0) {
-            opts.sampleEvery = parseUint(arg, needValue(i));
+            opts.sampleEvery = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--timeseries") == 0) {
             opts.timeseriesPath = needValue(i);
@@ -239,13 +228,13 @@ harnessMain(int argc, char **argv)
             opts.traceFile = needValue(i);
             ++i;
         } else if (std::strcmp(arg, "--ff") == 0) {
-            opts.ffOps = parseUint(arg, needValue(i));
+            opts.ffOps = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--sample-ops") == 0) {
-            opts.sampleOps = parseUint(arg, needValue(i));
+            opts.sampleOps = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--period") == 0) {
-            opts.periodOps = parseUint(arg, needValue(i));
+            opts.periodOps = parseUintArg(arg, needValue(i));
             ++i;
         } else if (std::strcmp(arg, "--trace-out") == 0) {
             opts.tracePath = needValue(i);

@@ -1,5 +1,7 @@
 #include "logging.hh"
 
+#include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -46,6 +48,24 @@ fatalImpl(const char *file, int line, const std::string &msg)
     // touching those objects. Flush and leave without them.
     std::fflush(nullptr);
     std::_Exit(1);
+}
+
+std::uint64_t
+parseUintArg(const char *flag, const std::string &text, std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    std::uint64_t v = std::strtoull(text.c_str(), &end, 10);
+    // strtoull alone accepts "-1" (negated to 2^64 - 1), leading
+    // whitespace and '+', and saturates on overflow.
+    fatal_if(!std::isdigit(static_cast<unsigned char>(text[0])) ||
+                 *end != '\0',
+             "%s expects an unsigned integer, got '%s'", flag,
+             text.c_str());
+    fatal_if(errno == ERANGE || v > max,
+             "%s expects an unsigned integer <= %llu, got '%s'", flag,
+             static_cast<unsigned long long>(max), text.c_str());
+    return v;
 }
 
 void

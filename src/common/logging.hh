@@ -2,12 +2,14 @@
  * @file
  * Error/status reporting helpers in the gem5 tradition: panic() for
  * simulator bugs, fatal() for user/configuration errors, warn()/inform()
- * for status messages.
+ * for status messages, and the command-line integer parser that turns
+ * a bad value into a fatal().
  */
 
 #ifndef DBSIM_COMMON_LOGGING_HH
 #define DBSIM_COMMON_LOGGING_HH
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -18,6 +20,14 @@ namespace dbsim {
 [[noreturn]] void fatalImpl(const char *file, int line, const std::string &msg);
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
+
+/**
+ * The value of command-line flag `flag`: decimal digits only (no sign,
+ * no whitespace), at most `max` (the destination's width). Anything
+ * else, including a value past 2^64 - 1, is a one-line fatal().
+ */
+std::uint64_t parseUintArg(const char *flag, const std::string &text,
+                           std::uint64_t max = UINT64_MAX);
 
 namespace detail {
 

@@ -15,9 +15,9 @@
  * collisions and stale entries degrade to misses, never wrong results.
  * Corrupted or truncated shard lines are skipped and recomputed.
  *
- * The cache is thread-safe and shareable: the ExperimentRunner opens
- * one per run (--cache-dir), while the farm service keeps a single
- * warm instance across every client and sweep.
+ * The ExperimentRunner opens one per run (--cache-dir). The cache is
+ * thread-safe because the runner's worker pool looks up and inserts
+ * concurrently.
  */
 
 #ifndef DBSIM_EXP_RESULT_CACHE_HH

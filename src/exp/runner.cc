@@ -140,14 +140,9 @@ ExperimentRunner::run(const SweepSpec &spec)
         alone = std::make_unique<AloneIpcCache>(alone_base);
     }
 
-    // The content cache: a shared warm instance (the farm service) or
-    // one owned by this run. Telemetry-enabled sweeps bypass entirely —
-    // a cache hit would skip producing the side artifacts.
-    std::unique_ptr<ResultCache> ownedCache;
-    ResultCache *cache = opts.cache;
-    if (!cache && !opts.cacheDir.empty()) {
-        ownedCache = std::make_unique<ResultCache>(opts.cacheDir);
-        cache = ownedCache.get();
+    std::unique_ptr<ResultCache> cache;
+    if (!opts.cacheDir.empty()) {
+        cache = std::make_unique<ResultCache>(opts.cacheDir);
     }
     const SystemConfig aloneCanonBase = spec.aloneBase();
     auto cacheable = [&](const SweepPoint &p) {
@@ -206,17 +201,14 @@ ExperimentRunner::run(const SweepSpec &spec)
         ++completed;
         ++timed;
         pointSecondsSum += point_seconds;
-        if (opts.onRecord) {
-            opts.onRecord(rec);
-        }
         if (opts.progress) {
             progressLine();
         }
     };
 
     // Restore checkpointed points: their lines are already on disk in
-    // their original bytes, so they are counted, streamed, and used to
-    // warm the content cache, but never re-appended.
+    // their original bytes, so they are counted and used to warm the
+    // content cache, but never re-appended.
     std::vector<const SweepPoint *> todo;
     todo.reserve(points.size());
     for (const auto &p : points) {
@@ -234,9 +226,6 @@ ExperimentRunner::run(const SweepSpec &spec)
         }
         std::lock_guard<std::mutex> lock(sinkMu);
         ++completed;
-        if (opts.onRecord) {
-            opts.onRecord(records[p.index]);
-        }
     }
     if (opts.progress && last.resumedPoints > 0) {
         inform("resumed %zu/%zu points from %s", last.resumedPoints,

@@ -15,7 +15,6 @@
 #define DBSIM_EXP_RUNNER_HH
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -90,26 +89,12 @@ struct RunOptions
     std::string cacheDir;
 
     /**
-     * A shared, already-open cache (the farm service's warm instance).
-     * Not owned; overrides cacheDir when set.
-     */
-    ResultCache *cache = nullptr;
-
-    /**
      * Resume an interrupted sweep: when jsonlPath's `.manifest`
      * sidecar matches this sweep's content hash, completed points are
      * restored from their original bytes and skipped. On by default —
      * a fresh sweep simply finds no matching manifest.
      */
     bool resume = true;
-
-    /**
-     * Streaming sink: called under the runner's sink lock for every
-     * record as it becomes available (resumed, cache-hit, or freshly
-     * computed). The farm service uses this to stream results to
-     * clients; completion order is nondeterministic with jobs > 1.
-     */
-    std::function<void(const PointRecord &)> onRecord;
 };
 
 /** What one ExperimentRunner::run() did, beyond the records. */

@@ -4,8 +4,12 @@
  * locale-independent (the historical %g/sscanf implementation honored
  * LC_NUMERIC, so a comma-decimal locale produced "0,25" — invalid
  * JSON) and shortest-round-trip. Parsing: the strict parser behind the
- * result cache, checkpoint manifests, and farm service — including
- * 64-bit integer fidelity through the raw literal.
+ * result cache and checkpoint manifests — including 64-bit integer
+ * fidelity through the raw literal. Robustness: seeded byte-flipped,
+ * truncated and spliced mutants of every JSON input read back from
+ * disk (any text, checkpoint manifests, result-cache shards) must be
+ * parsed, rejected, dropped or recomputed — never crash (the
+ * asan-ubsan build runs these too).
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +17,21 @@
 #include <clocale>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <map>
 #include <string>
+#include <vector>
 
+#include "common/rng.hh"
+#include "exp/checkpoint.hh"
 #include "exp/json.hh"
+#include "exp/jsonl_read.hh"
+#include "exp/result_cache.hh"
+#include "support/temp_path.hh"
 
 namespace dbsim::exp {
 namespace {
@@ -173,6 +188,162 @@ TEST(JsonParse, HugeAndTinyMagnitudesClampSanely)
     ASSERT_TRUE(parseJson("-1e999", v));
     EXPECT_TRUE(std::isinf(v.number));
     EXPECT_LT(v.number, 0.0);
+}
+
+// -- Seeded-mutation robustness ---------------------------------------
+
+/** 1-4 flipped bits, a truncation, or text's prefix + donor's suffix. */
+std::string
+mutate(const std::string &text, const std::string &donor, Rng &rng)
+{
+    std::string m = text;
+    switch (rng.below(3)) {
+      case 0:
+        for (std::uint64_t n = 1 + rng.below(4); n > 0; --n) {
+            m[rng.below(m.size())] ^= static_cast<char>(1 << rng.below(8));
+        }
+        return m;
+      case 1:
+        return m.substr(0, rng.below(m.size() + 1));
+      default:
+        return m.substr(0, rng.below(m.size() + 1)) +
+               donor.substr(rng.below(donor.size() + 1));
+    }
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void
+spit(const std::string &path, const std::string &bytes)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+/** A record line carrying every field kind the readers load. */
+std::string
+recordLine(std::size_t index)
+{
+    PointRecord rec;
+    rec.index = index;
+    rec.mechanism = "DBI+AWB";
+    rec.tags["alpha"] = "0.25";
+    rec.metrics["ipc0"] = 0.5;
+    rec.metrics["nan"] = std::numeric_limits<double>::quiet_NaN();
+    rec.stats["llc.reads"] = 18446744073709551615ull - index;
+    return rec.toJsonLine();
+}
+
+TEST(JsonMutation, ParserAcceptsOrRejectsEveryMutant)
+{
+    const std::vector<std::string> corpus = {
+        recordLine(3),
+        R"({"farm":"farm-v1","spec":"0123456789abcdef"})",
+        R"({"s":"a\"b\\c\né😀","n":[-0.5,1e999,)"
+        R"(18446744073709551615,true,false,null],"o":{"":[[{}]]}})",
+    };
+    Rng rng(0xd1b);
+    std::size_t accepted = 0;
+    for (std::size_t i = 0; i < 3000; ++i) {
+        JsonValue v;
+        std::string err;
+        if (parseJson(mutate(corpus[i % 3], corpus[rng.below(3)], rng), v,
+                      &err)) {
+            ++accepted;
+            PointRecord rec;  // the loader both file readers share
+            (void)pointRecordFromJson(v, rec);
+        } else {
+            EXPECT_FALSE(err.empty());
+        }
+    }
+    EXPECT_GT(accepted, 100u);  // mutants reach past the first byte
+    EXPECT_LT(accepted, 2900u);
+}
+
+TEST(JsonMutation, ManifestMutantsResumeOnlyVerbatimPoints)
+{
+    const std::string jsonl = test::tempPath("dbsim_mutation.jsonl");
+    const std::string manifest = jsonl + ".manifest";
+    {
+        CheckpointSink sink(jsonl, "0123456789abcdef", false);
+        for (std::size_t p = 0; p < 4; ++p) {
+            sink.append(p, recordLine(p));
+        }
+    }
+    const std::string files[2] = {slurp(manifest), slurp(jsonl)};
+    Rng rng(0xc4e);
+    std::size_t resumed = 0;
+    for (std::size_t i = 0; i < 400; ++i) {
+        // Mutate the manifest, the JSONL or both, splicing either with
+        // either file.
+        std::uint64_t which = rng.below(3);
+        spit(manifest, which == 1 ? files[0]
+                                  : mutate(files[0], files[rng.below(2)],
+                                           rng));
+        spit(jsonl, which == 0 ? files[1]
+                               : mutate(files[1], files[rng.below(2)],
+                                        rng));
+        CheckpointSink sink(jsonl, "0123456789abcdef", true);
+        resumed += sink.resumedCount();
+        for (std::size_t p = 0; p < 4; ++p) {
+            if (sink.isDone(p)) {  // restored verbatim or not at all
+                EXPECT_EQ(*sink.rawLine(p), recordLine(p));
+                EXPECT_EQ(sink.record(p)->index, p);
+            }
+        }
+    }
+    EXPECT_GT(resumed, 0u);
+    EXPECT_LT(resumed, 4u * 400);
+    std::remove(jsonl.c_str());
+    std::remove(manifest.c_str());
+}
+
+TEST(JsonMutation, CacheShardMutantsLoadOrDropEntries)
+{
+    const std::string dir = test::tempPath("dbsim_mutation_cache");
+    std::filesystem::remove_all(dir);
+    auto canon = [](std::size_t p) { return "point=" + std::to_string(p); };
+    {
+        ResultCache cache(dir);
+        PointRecord rec;
+        rec.metrics["ipc0"] = 0.5;
+        for (std::size_t p = 0; p < 8; ++p) {
+            cache.insert(fnv1a64(canon(p)), canon(p), rec);
+        }
+    }
+    // index.json and the shard files; splicing one file onto another
+    // also misplaces entries into the wrong shard.
+    std::map<std::string, std::string> good;
+    std::vector<std::string> targets;
+    for (const auto &f : std::filesystem::directory_iterator(dir)) {
+        good[f.path()] = slurp(f.path());
+        if (!good[f.path()].empty()) {
+            targets.push_back(f.path());
+        }
+    }
+    Rng rng(0xcac4e);
+    std::size_t hits = 0;
+    for (std::size_t i = 0; i < 300; ++i) {
+        for (const auto &[path, bytes] : good) {
+            spit(path, bytes);
+        }
+        const std::string &t = targets[rng.below(targets.size())];
+        spit(t, mutate(good[t], good[targets[rng.below(targets.size())]],
+                       rng));
+        ResultCache cache(dir);
+        EXPECT_LE(cache.entryCount(), 8u);
+        for (std::size_t p = 0; p < 8; ++p) {
+            PointRecord out;
+            hits += cache.lookup(fnv1a64(canon(p)), canon(p), out);
+        }
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_LT(hits, 8u * 300);
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -367,25 +367,32 @@ TEST_F(ResultCacheTest, RepeatSweepIsAllHitsAndBitIdentical)
         spec.addSim(m, {"mcf", "bzip2"});
     }
 
-    RunOptions opts;
-    opts.progress = false;
-    opts.experiment = "cache_test";
-    opts.cacheDir = dir;
+    // Serially, and on a pool whose workers insert and hit the one
+    // cache concurrently.
+    for (std::uint32_t jobs : {1u, 2u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        std::filesystem::remove_all(dir);
+        RunOptions opts;
+        opts.jobs = jobs;
+        opts.progress = false;
+        opts.experiment = "cache_test";
+        opts.cacheDir = dir;
 
-    ExperimentRunner cold(opts);
-    auto first = cold.run(spec);
-    EXPECT_EQ(cold.lastRun().cache.hits, 0u);
-    EXPECT_EQ(cold.lastRun().cache.misses, spec.points().size());
+        ExperimentRunner cold(opts);
+        auto first = cold.run(spec);
+        EXPECT_EQ(cold.lastRun().cache.hits, 0u);
+        EXPECT_EQ(cold.lastRun().cache.misses, spec.points().size());
 
-    // Second run, fresh runner, same directory: zero simulations.
-    ExperimentRunner warm(opts);
-    auto second = warm.run(spec);
-    EXPECT_EQ(warm.lastRun().cache.hits, spec.points().size());
-    EXPECT_EQ(warm.lastRun().cache.misses, 0u);
+        // Second run, fresh runner, same directory: zero simulations.
+        ExperimentRunner warm(opts);
+        auto second = warm.run(spec);
+        EXPECT_EQ(warm.lastRun().cache.hits, spec.points().size());
+        EXPECT_EQ(warm.lastRun().cache.misses, 0u);
 
-    ASSERT_EQ(first.size(), second.size());
-    for (std::size_t i = 0; i < first.size(); ++i) {
-        EXPECT_EQ(first[i].toJsonLine(), second[i].toJsonLine());
+        ASSERT_EQ(first.size(), second.size());
+        for (std::size_t i = 0; i < first.size(); ++i) {
+            EXPECT_EQ(first[i].toJsonLine(), second[i].toJsonLine());
+        }
     }
 }
 

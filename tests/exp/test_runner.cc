@@ -4,7 +4,9 @@
  * determinism by construction: the same SweepSpec and seed produce
  * bit-identical records (and JSONL lines) at --jobs 1 and --jobs 8;
  * parallelism changes completion order only, and the runner re-orders
- * records by point index before returning.
+ * records by point index before returning. The bench harness's CLI,
+ * the runner's front end, must turn every malformed integer flag into
+ * a clean fatal() before any sweep starts.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "exp/runner.hh"
+#include "harness.hh"
 #include "support/temp_path.hh"
 
 namespace dbsim::exp {
@@ -149,6 +152,31 @@ TEST(ExperimentRunner, CustomPointTagsSurviveIntoRecords)
     auto records = ExperimentRunner(opts).run(spec);
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records[0].tags.at("axis"), "value");
+}
+
+/** Run the bench harness's CLI as `bench <flag> <value>`. */
+void
+harness(std::string flag, std::string value)
+{
+    std::string name = "bench";
+    char *argv[] = {name.data(), flag.data(), value.data()};
+    bench::harnessMain(3, argv);
+}
+
+TEST(HarnessCliDeathTest, BadIntegerFlagsAreCleanFatals)
+{
+    auto exits = ::testing::ExitedWithCode(1);
+    // strtoull alone reads "-1" as 2^64 - 1: a 4-billion-thread pool.
+    EXPECT_EXIT(harness("--jobs", "-1"), exits,
+                "--jobs expects an unsigned integer, got '-1'");
+    // Past 2^64 - 1, where strtoull saturates and sets ERANGE.
+    EXPECT_EXIT(harness("--seed", "99999999999999999999999"), exits,
+                "--seed expects an unsigned integer <= "
+                "18446744073709551615, got '99999999999999999999999'");
+    // Fits 64 bits, but a cast to the 32-bit slice count made it 1.
+    EXPECT_EXIT(harness("--slices", "4294967297"), exits,
+                "--slices expects an unsigned integer <= 4294967295, "
+                "got '4294967297'");
 }
 
 } // namespace

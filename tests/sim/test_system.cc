@@ -12,6 +12,7 @@
 #include "sim/metrics.hh"
 #include "sim/system.hh"
 #include "support/temp_path.hh"
+#include "workload/profiles.hh"
 
 namespace dbsim {
 namespace {
@@ -283,6 +284,9 @@ TEST(MechanismsDeathTest, BadNamesTeachTheGrammar)
     EXPECT_DEATH(mechanismByName("dbi+skip"), "composed specs");
     EXPECT_DEATH(mechanismByName("tag+awb"), "composed specs");
     EXPECT_DEATH(mechanismByName("dbi+tag"), "conflicting dirty-store");
+    // A mix entry names a benchmark profile the same way.
+    EXPECT_DEATH(benchmarkByName("no_such_benchmark"),
+                 "unknown benchmark 'no_such_benchmark'");
 }
 
 TEST(SystemIntegration, EccAccountingReportedFromRealRun)

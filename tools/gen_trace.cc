@@ -41,16 +41,6 @@ nextRand(std::uint64_t &state)
     return state * 0x2545f4914f6cdd1dull;
 }
 
-std::uint64_t
-parseUint(const char *flag, const char *text)
-{
-    char *end = nullptr;
-    std::uint64_t v = std::strtoull(text, &end, 10);
-    fatal_if(end == text || *end != '\0',
-             "%s expects an unsigned integer, got '%s'", flag, text);
-    return v;
-}
-
 int
 usage(const char *argv0)
 {
@@ -81,14 +71,14 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (std::strcmp(arg, "--records") == 0) {
-            records = parseUint(arg, value());
+            records = parseUintArg(arg, value());
         } else if (std::strcmp(arg, "--seed") == 0) {
-            seed = parseUint(arg, value());
+            seed = parseUintArg(arg, value());
         } else if (std::strcmp(arg, "--write-frac") == 0) {
-            write_frac = parseUint(arg, value());
+            write_frac = parseUintArg(arg, value());
             fatal_if(write_frac > 100, "--write-frac is a percentage");
         } else if (std::strcmp(arg, "--gap-max") == 0) {
-            gap_max = parseUint(arg, value());
+            gap_max = parseUintArg(arg, value());
         } else if (std::strcmp(arg, "--text") == 0) {
             text = true;
         } else if (std::strncmp(arg, "--", 2) == 0) {
