@@ -83,7 +83,7 @@ InvariantAuditor::mechanismDirtyBlocks() const
     const TagStore &tags = subject.tags();
     for (std::uint32_t s = 0; s < tags.numSets(); ++s) {
         for (std::uint32_t w = 0; w < tags.assoc(); ++w) {
-            const TagStore::Entry &e = tags.entryAt(s, w);
+            const TagStore::Entry e = tags.entryAt(s, w);
             if (e.valid && e.dirty) {
                 blocks.push_back(e.block);
             }

@@ -1,7 +1,5 @@
 #include "tag_store.hh"
 
-#include <algorithm>
-
 #include "common/logging.hh"
 
 namespace dbsim {
@@ -16,10 +14,15 @@ TagStore::TagStore(const CacheGeometry &geometry)
         geo.sizeBytes / (static_cast<std::uint64_t>(geo.assoc) *
                          kBlockBytes);
     fatal_if(!isPowerOf2(sets), "set count must be a power of two");
+    fatal_if(sets * geo.assoc >= kNoSlot,
+             "tag store of %llu entries exceeds the slot index range",
+             static_cast<unsigned long long>(sets * geo.assoc));
     nSets = static_cast<std::uint32_t>(sets);
-    entries.resize(static_cast<std::size_t>(nSets) * geo.assoc);
-    tags.assign(entries.size(), kInvalidAddr);
-    touches.assign(entries.size(), 0);
+    const std::size_t n = static_cast<std::size_t>(nSets) * geo.assoc;
+    tags.assign(n, kInvalidAddr);
+    touches.assign(n, 0);
+    meta.assign(n, 0);
+    owners.assign(n, 0);
     fatal_if(geo.numThreads == 0, "need at least one thread");
     psel.assign(geo.numThreads, kPselInit);
 }
@@ -31,61 +34,36 @@ TagStore::setIndex(Addr block_addr) const
                                       (nSets - 1));
 }
 
-TagStore::Entry &
-TagStore::at(std::uint32_t set, std::uint32_t way)
-{
-    return entries[static_cast<std::size_t>(set) * geo.assoc + way];
-}
-
-const TagStore::Entry &
-TagStore::at(std::uint32_t set, std::uint32_t way) const
-{
-    return entries[static_cast<std::size_t>(set) * geo.assoc + way];
-}
-
-bool
-TagStore::contains(Addr block_addr) const
-{
-    return find(block_addr) != nullptr;
-}
-
-TagStore::Entry *
-TagStore::find(Addr block_addr)
+TagStore::Slot
+TagStore::find(Addr block_addr) const
 {
     Addr a = blockAlign(block_addr);
-    std::size_t base =
-        static_cast<std::size_t>(setIndex(a)) * geo.assoc;
+    Slot base = slotOf(setIndex(a), 0);
     const Addr *set_tags = tags.data() + base;
     for (std::uint32_t w = 0; w < geo.assoc; ++w) {
         if (set_tags[w] == a) {
-            return &entries[base + w];
+            return base + w;
         }
     }
-    return nullptr;
+    return kNoSlot;
 }
 
-const TagStore::Entry *
-TagStore::find(Addr block_addr) const
+void
+TagStore::touchSlot(Slot s)
 {
-    return const_cast<TagStore *>(this)->find(block_addr);
+    touches[s] = touchClock++;
+    // Near-immediate re-reference on hit (RRIP hit promotion).
+    meta[s] &= kDirtyBit;
+    ++statHits;
 }
 
 void
 TagStore::touch(Addr block_addr, std::uint32_t thread)
 {
     (void)thread;
-    Entry *e = find(block_addr);
-    panic_if(!e, "touch of absent block");
-    touchEntry(*e);
-}
-
-void
-TagStore::touchEntry(Entry &e)
-{
-    e.lastTouch = touchClock++;
-    e.rrpv = 0;  // near-immediate re-reference on hit (RRIP hit promotion)
-    touches[static_cast<std::size_t>(&e - entries.data())] = e.lastTouch;
-    ++statHits;
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "touch of absent block");
+    touchSlot(s);
 }
 
 TagStore::LeaderKind
@@ -133,29 +111,31 @@ TagStore::useBimodal(std::uint32_t set, std::uint32_t thread)
 std::uint32_t
 TagStore::victimWay(std::uint32_t set)
 {
+    Slot base = slotOf(set, 0);
     switch (geo.repl) {
       case ReplPolicy::Random:
         return static_cast<std::uint32_t>(rng.below(geo.assoc));
       case ReplPolicy::Drrip: {
-        // Find an RRPV==max entry, aging the set until one appears.
+        // Find an RRPV==max entry, aging the set until one appears. No
+        // RRPV passes kRrpvMax, so aging never reaches the dirty bit.
+        std::uint8_t *set_meta = meta.data() + base;
         for (;;) {
             for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-                if (at(set, w).rrpv >= kRrpvMax) {
+                if ((set_meta[w] & kRrpvMask) >= kRrpvMax) {
                     return w;
                 }
             }
             for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-                ++at(set, w).rrpv;
+                ++set_meta[w];
             }
         }
       }
       case ReplPolicy::Lru:
       case ReplPolicy::TaDip:
       default: {
-        // First-minimum in way order over the dense touch mirror (the
-        // tie-break matters: BIP inserts park at lastTouch == 0).
-        const std::uint64_t *set_touches =
-            touches.data() + static_cast<std::size_t>(set) * geo.assoc;
+        // First minimum in way order (the tie-break matters: BIP
+        // inserts park at touch time 0).
+        const std::uint64_t *set_touches = touches.data() + base;
         std::uint32_t victim = 0;
         std::uint64_t oldest = kCycleMax;
         for (std::uint32_t w = 0; w < geo.assoc; ++w) {
@@ -173,155 +153,150 @@ TagStore::Eviction
 TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
 {
     Addr a = blockAlign(block_addr);
-    panic_if(contains(a), "insert of resident block %llx",
+    std::uint32_t set = setIndex(a);
+    Slot base = slotOf(set, 0);
+
+    // One pass over the set: the first free way, and the resident check.
+    const Addr *set_tags = tags.data() + base;
+    std::uint32_t way = geo.assoc;
+    bool resident = false;
+    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
+        resident |= set_tags[w] == a;
+        if (way == geo.assoc && set_tags[w] == kInvalidAddr) {
+            way = w;
+        }
+    }
+    panic_if(resident, "insert of resident block %llx",
              static_cast<unsigned long long>(a));
     ++statMisses;
     ++statInsertions;
 
-    std::uint32_t set = setIndex(a);
-    std::uint32_t way = geo.assoc;
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        if (!at(set, w).valid) {
-            way = w;
-            break;
-        }
-    }
-
     Eviction ev;
     if (way == geo.assoc) {
         way = victimWay(set);
-        Entry &v = at(set, way);
         ev.valid = true;
-        ev.block = v.block;
-        ev.dirty = v.dirty;
+        ev.block = tags[base + way];
+        ev.dirty = dirtyAt(base + way);
         ++statEvictions;
     }
 
-    Entry &e = at(set, way);
-    nDirty -= static_cast<std::uint64_t>(e.dirty);
+    Slot s = base + way;
+    nDirty -= static_cast<std::uint64_t>(dirtyAt(s));
     nDirty += static_cast<std::uint64_t>(dirty);
-    e.block = a;
-    e.valid = true;
-    e.dirty = dirty;
-    e.owner = static_cast<std::uint8_t>(thread);
+    tags[s] = a;
+    owners[s] = static_cast<std::uint8_t>(thread);
 
     bool bimodal = useBimodal(set, thread);
     lastBimodal = false;
+    std::uint8_t rrpv = kRrpvMax - 1;
     switch (geo.repl) {
       case ReplPolicy::TaDip:
         if (bimodal && !rng.chance(kBipEpsilon)) {
             // BIP: insert at LRU position (touch time 0 = oldest).
-            e.lastTouch = 0;
+            touches[s] = 0;
             lastBimodal = true;
         } else {
-            e.lastTouch = touchClock++;
+            touches[s] = touchClock++;
         }
-        e.rrpv = kRrpvMax - 1;
         break;
       case ReplPolicy::Drrip:
         if (bimodal && !rng.chance(kBrripEpsilon)) {
-            e.rrpv = kRrpvMax;  // BRRIP: distant re-reference
+            rrpv = kRrpvMax;  // BRRIP: distant re-reference
             lastBimodal = true;
-        } else {
-            e.rrpv = kRrpvMax - 1;  // SRRIP: long re-reference
-        }
-        e.lastTouch = touchClock++;
+        }  // else SRRIP: long re-reference
+        touches[s] = touchClock++;
         break;
       case ReplPolicy::Lru:
       case ReplPolicy::Random:
       default:
-        e.lastTouch = touchClock++;
-        e.rrpv = kRrpvMax - 1;
+        touches[s] = touchClock++;
         break;
     }
-    std::size_t idx = static_cast<std::size_t>(set) * geo.assoc + way;
-    tags[idx] = a;
-    touches[idx] = e.lastTouch;
+    meta[s] = static_cast<std::uint8_t>(rrpv | (dirty ? kDirtyBit : 0));
     return ev;
 }
 
 void
 TagStore::invalidate(Addr block_addr)
 {
-    Entry *e = find(block_addr);
-    if (e) {
-        nDirty -= static_cast<std::uint64_t>(e->dirty);
-        e->valid = false;
-        e->block = kInvalidAddr;
-        e->dirty = false;
-        std::size_t idx = static_cast<std::size_t>(e - entries.data());
-        tags[idx] = kInvalidAddr;
-        touches[idx] = e->lastTouch;
+    Slot s = find(block_addr);
+    if (s != kNoSlot) {
+        setSlotDirty(s, false);
+        tags[s] = kInvalidAddr;
     }
 }
 
 void
 TagStore::markDirty(Addr block_addr)
 {
-    Entry *e = find(block_addr);
-    panic_if(!e, "markDirty of absent block");
-    setEntryDirty(*e, true);
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "markDirty of absent block");
+    setSlotDirty(s, true);
 }
 
 void
 TagStore::markClean(Addr block_addr)
 {
-    Entry *e = find(block_addr);
-    panic_if(!e, "markClean of absent block");
-    setEntryDirty(*e, false);
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "markClean of absent block");
+    setSlotDirty(s, false);
 }
 
 bool
 TagStore::isDirty(Addr block_addr) const
 {
-    const Entry *e = find(block_addr);
-    panic_if(!e, "isDirty of absent block");
-    return e->dirty;
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "isDirty of absent block");
+    return dirtyAt(s);
 }
 
 std::uint32_t
-TagStore::lruRank(Addr block_addr) const
+TagStore::rankOf(Slot s) const
 {
-    const Entry *e = find(block_addr);
-    panic_if(!e, "lruRank of absent block");
-    std::uint32_t set = setIndex(blockAlign(block_addr));
+    Slot base = s - s % geo.assoc;
     std::uint32_t rank = 0;
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        const Entry &o = at(set, w);
-        if (o.valid && &o != e && o.lastTouch < e->lastTouch) {
+    for (Slot o = base; o < base + geo.assoc; ++o) {
+        if (tags[o] != kInvalidAddr && touches[o] < touches[s]) {
             ++rank;
         }
     }
     return rank;
 }
 
+std::uint32_t
+TagStore::lruRank(Addr block_addr) const
+{
+    Slot s = find(block_addr);
+    panic_if(s == kNoSlot, "lruRank of absent block");
+    return rankOf(s);
+}
+
 bool
 TagStore::anyDirtyInLruWays(std::uint32_t set, std::uint32_t ways) const
 {
-    // Collect touch times of valid entries and find the cutoff for the
-    // `ways` least-recently-used ones.
-    std::vector<std::uint64_t> touches;
-    touches.reserve(geo.assoc);
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        if (at(set, w).valid) {
-            touches.push_back(at(set, w).lastTouch);
-        }
-    }
-    if (touches.empty()) {
-        return false;
-    }
-    std::uint32_t n = std::min<std::uint32_t>(
-        ways, static_cast<std::uint32_t>(touches.size()));
-    std::nth_element(touches.begin(), touches.begin() + (n - 1),
-                     touches.end());
-    std::uint64_t cutoff = touches[n - 1];
-    for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        const Entry &e = at(set, w);
-        if (e.valid && e.dirty && e.lastTouch <= cutoff) {
+    // An entry lies within the `ways` LRU-most ways exactly when fewer
+    // than `ways` valid entries were touched before it (ties share a
+    // rank, so every entry tied at the cutoff counts as inside).
+    for (Slot s = slotOf(set, 0); s < slotOf(set, geo.assoc); ++s) {
+        if (tags[s] != kInvalidAddr && dirtyAt(s) && rankOf(s) < ways) {
             return true;
         }
     }
     return false;
+}
+
+TagStore::Entry
+TagStore::entryAt(std::uint32_t set, std::uint32_t way) const
+{
+    Slot s = slotOf(set, way);
+    Entry e;
+    e.valid = tags[s] != kInvalidAddr;
+    if (e.valid) {
+        e.block = tags[s];
+        e.dirty = dirtyAt(s);
+        e.owner = owners[s];
+    }
+    return e;
 }
 
 } // namespace dbsim

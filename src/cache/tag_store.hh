@@ -46,19 +46,29 @@ struct CacheGeometry
  * Set-associative tag store. Data contents are not stored — dbsim is a
  * timing simulator — but the full state needed for replacement and
  * dirtiness decisions is.
+ *
+ * The state lives in one copy, as dense per-field arrays indexed by
+ * slot (set * assoc + way): 8 B tag, 8 B touch time, 1 B dirty|RRPV,
+ * 1 B owner — 18 B per entry. A caller locates a block once with
+ * find() and then acts on the returned slot, so one access scans its
+ * set once.
  */
 class TagStore
 {
   public:
-    /** One tag entry. */
+    /** Index of one entry: set * assoc + way. */
+    using Slot = std::uint32_t;
+
+    /** find() result for an absent block. */
+    static constexpr Slot kNoSlot = ~Slot{0};
+
+    /** One tag entry, assembled from the arrays (a copy, not a view). */
     struct Entry
     {
         Addr block = kInvalidAddr;  ///< aligned block address
         bool valid = false;
         bool dirty = false;
         std::uint8_t owner = 0;     ///< inserting thread
-        std::uint64_t lastTouch = 0;
-        std::uint8_t rrpv = 0;      ///< DRRIP re-reference value
     };
 
     /** Result of an insertion: the displaced entry, if any. */
@@ -81,26 +91,41 @@ class TagStore
     /** Set index of a block address. */
     std::uint32_t setIndex(Addr block_addr) const;
 
+    /** Slot holding block_addr, or kNoSlot. No replacement update. */
+    Slot find(Addr block_addr) const;
+
     /** True if the block is present (no replacement-state update). */
-    bool contains(Addr block_addr) const;
+    bool contains(Addr block_addr) const
+    {
+        return find(block_addr) != kNoSlot;
+    }
 
-    /** Pointer to the entry holding block_addr, or nullptr. */
-    Entry *find(Addr block_addr);
-    const Entry *find(Addr block_addr) const;
+    /** Promote on hit (updates LRU / RRPV state). @pre s from find(). */
+    void touchSlot(Slot s);
 
-    /** Promote on hit (updates LRU / RRPV state). */
+    /** Promote a resident block: find() + touchSlot(). */
     void touch(Addr block_addr, std::uint32_t thread);
 
+    /** Dirty bit of a slot. @pre s was returned by find(). */
+    bool dirtyAt(Slot s) const { return (meta[s] & kDirtyBit) != 0; }
+
     /**
-     * Promote an entry already located via find() — same effect as
-     * touch() without re-scanning the set. @pre e is valid and was
-     * returned by find() on this store.
+     * Set or clear the dirty bit of a slot, keeping countDirty()
+     * coherent. @pre s was returned by find() on this store.
      */
-    void touchEntry(Entry &e);
+    void
+    setSlotDirty(Slot s, bool dirty)
+    {
+        nDirty += static_cast<std::uint64_t>(dirty);
+        nDirty -= static_cast<std::uint64_t>(dirtyAt(s));
+        meta[s] = static_cast<std::uint8_t>(
+            (meta[s] & kRrpvMask) | (dirty ? kDirtyBit : 0));
+    }
 
     /**
      * Insert a block, selecting and displacing a victim if the set is
-     * full. Updates set-dueling state on this miss.
+     * full. Updates set-dueling state on this miss. Panics if the block
+     * is already resident.
      * @param dirty initial dirty state of the inserted block.
      * @return the displaced entry (valid=false if a free way was used).
      */
@@ -109,22 +134,9 @@ class TagStore
     /** Remove a block if present. */
     void invalidate(Addr block_addr);
 
-    /** Set/clear the entry's dirty bit. @pre block present. */
+    /** Set/clear a resident block's dirty bit. @pre block present. */
     void markDirty(Addr block_addr);
     void markClean(Addr block_addr);
-
-    /**
-     * Set the dirty bit of an entry located via find(), keeping the
-     * store's dirty count coherent. All dirty-bit writes outside the
-     * store must go through this (a raw `e->dirty = x` would desync
-     * countDirty()). @pre e was returned by find() on this store.
-     */
-    void setEntryDirty(Entry &e, bool dirty)
-    {
-        nDirty += static_cast<std::uint64_t>(dirty);
-        nDirty -= static_cast<std::uint64_t>(e.dirty);
-        e.dirty = dirty;
-    }
 
     /** Dirty bit of a resident block. @pre block present. */
     bool isDirty(Addr block_addr) const;
@@ -138,16 +150,13 @@ class TagStore
     /** True if any entry within the `ways` LRU-most ways is dirty. */
     bool anyDirtyInLruWays(std::uint32_t set, std::uint32_t ways) const;
 
-    /** Read-only access to one way of one set (for sweeps and tests). */
-    const Entry &entryAt(std::uint32_t set, std::uint32_t way) const
-    {
-        return at(set, way);
-    }
+    /** One way of one set, by value (for sweeps, the auditor, tests). */
+    Entry entryAt(std::uint32_t set, std::uint32_t way) const;
 
     /**
      * Count of valid dirty entries. O(1): maintained incrementally at
      * every dirty-bit transition (the auditor cross-checks it against
-     * the authoritative per-entry bits every audit interval).
+     * the per-entry bits every audit interval).
      */
     std::uint64_t countDirty() const { return nDirty; }
 
@@ -160,9 +169,15 @@ class TagStore
     Counter statEvictions;
 
   private:
-    /** Entries of one set start at set * assoc. */
-    Entry &at(std::uint32_t set, std::uint32_t way);
-    const Entry &at(std::uint32_t set, std::uint32_t way) const;
+    /** Slot of one way of one set. */
+    Slot
+    slotOf(std::uint32_t set, std::uint32_t way) const
+    {
+        return set * geo.assoc + way;
+    }
+
+    /** Valid entries of s's set touched strictly before s. */
+    std::uint32_t rankOf(Slot s) const;
 
     /** Victim way in a full set, per the replacement policy. */
     std::uint32_t victimWay(std::uint32_t set);
@@ -176,21 +191,21 @@ class TagStore
 
     CacheGeometry geo;
     std::uint32_t nSets;
-    std::vector<Entry> entries;
 
-    /**
-     * Structure-of-arrays mirrors of the per-entry fields the hot paths
-     * scan: `tags[i]` is entries[i].block for valid entries and
-     * kInvalidAddr otherwise (so find() is one branchless compare per
-     * way over a dense array instead of striding 32-byte Entry structs),
-     * and `touches[i]` mirrors entries[i].lastTouch for the LRU victim
-     * scan. entries[] stays authoritative; these are write-through.
-     */
+    /** Block address per slot; kInvalidAddr marks an invalid entry. */
     std::vector<Addr> tags;
+    /** Touch time per slot (LRU order; 0 = BIP insert at LRU). */
     std::vector<std::uint64_t> touches;
+    /** Per slot: dirty bit (kDirtyBit) | 2-bit DRRIP RRPV. */
+    std::vector<std::uint8_t> meta;
+    /** Inserting thread per slot. */
+    std::vector<std::uint8_t> owners;
+
+    static constexpr std::uint8_t kDirtyBit = 0x80;
+    static constexpr std::uint8_t kRrpvMask = 0x7f;
 
     std::uint64_t touchClock = 1;
-    std::uint64_t nDirty = 0;  ///< valid entries with dirty == true
+    std::uint64_t nDirty = 0;  ///< valid entries with the dirty bit set
     Rng rng;
 
     /** Per-thread 10-bit policy selectors (TA-DIP / DRRIP dueling). */

@@ -42,7 +42,10 @@ class DramAddrMap
                 std::uint32_t num_channels = 1)
         : rowBytes_(row_bytes), numBanks_(num_banks),
           numChannels_(num_channels),
-          blocksPerRow_(static_cast<std::uint32_t>(row_bytes / kBlockBytes))
+          blocksPerRow_(static_cast<std::uint32_t>(row_bytes / kBlockBytes)),
+          rowShift(floorLog2(row_bytes)),
+          channelShift(floorLog2(num_channels)),
+          bankShift(floorLog2(num_banks))
     {
         fatal_if(!isPowerOf2(row_bytes) || row_bytes < kBlockBytes,
                  "DRAM row size must be a power-of-two multiple of the "
@@ -61,43 +64,44 @@ class DramAddrMap
     std::uint64_t
     rowId(Addr addr) const
     {
-        return addr / rowBytes_;
+        return addr >> rowShift;
     }
 
     /** Channel the address maps to. */
     std::uint32_t
     channel(Addr addr) const
     {
-        return static_cast<std::uint32_t>(rowId(addr) % numChannels_);
+        return static_cast<std::uint32_t>(rowId(addr) & (numChannels_ - 1));
     }
 
     /** Bank the address maps to (within its channel). */
     std::uint32_t
     bank(Addr addr) const
     {
-        return static_cast<std::uint32_t>((rowId(addr) / numChannels_) %
-                                          numBanks_);
+        return static_cast<std::uint32_t>((rowId(addr) >> channelShift) &
+                                          (numBanks_ - 1));
     }
 
     /** Row index within the bank (what the row decoder sees). */
     std::uint64_t
     rowInBank(Addr addr) const
     {
-        return rowId(addr) / numChannels_ / numBanks_;
+        return rowId(addr) >> (channelShift + bankShift);
     }
 
     /** Index of the block within its DRAM row: 0..blocksPerRow-1. */
     std::uint32_t
     blockInRow(Addr addr) const
     {
-        return static_cast<std::uint32_t>((addr % rowBytes_) >> kBlockShift);
+        return static_cast<std::uint32_t>((addr & (rowBytes_ - 1)) >>
+                                          kBlockShift);
     }
 
     /** First byte address of the row containing addr. */
     Addr
     rowBase(Addr addr) const
     {
-        return addr - (addr % rowBytes_);
+        return addr & ~(rowBytes_ - 1);
     }
 
     /** Byte address of block `idx` within the row containing addr. */
@@ -113,6 +117,10 @@ class DramAddrMap
     std::uint32_t numBanks_;
     std::uint32_t numChannels_;
     std::uint32_t blocksPerRow_;
+    /** log2 of rowBytes_, numChannels_ and numBanks_ (all powers of 2). */
+    std::uint32_t rowShift;
+    std::uint32_t channelShift;
+    std::uint32_t bankShift;
 };
 
 /**
@@ -127,7 +135,8 @@ class DbiRegionMap
     /** @param granularity blocks tracked per DBI entry (power of two). */
     explicit DbiRegionMap(std::uint32_t granularity)
         : gran(granularity),
-          regionBytes(static_cast<std::uint64_t>(granularity) * kBlockBytes)
+          regionBytes(static_cast<std::uint64_t>(granularity) * kBlockBytes),
+          regionShift(floorLog2(regionBytes))
     {
         fatal_if(!isPowerOf2(granularity) || granularity == 0 ||
                  granularity > 128,
@@ -141,14 +150,14 @@ class DbiRegionMap
     std::uint64_t
     regionTag(Addr addr) const
     {
-        return addr / regionBytes;
+        return addr >> regionShift;
     }
 
     /** Bit position of addr's block within its DBI row. */
     std::uint32_t
     blockIndex(Addr addr) const
     {
-        return static_cast<std::uint32_t>((addr % regionBytes) >>
+        return static_cast<std::uint32_t>((addr & (regionBytes - 1)) >>
                                           kBlockShift);
     }
 
@@ -157,12 +166,13 @@ class DbiRegionMap
     blockAddr(std::uint64_t tag, std::uint32_t idx) const
     {
         panic_if(idx >= gran, "block index %u out of region", idx);
-        return tag * regionBytes + static_cast<Addr>(idx) * kBlockBytes;
+        return (tag << regionShift) + static_cast<Addr>(idx) * kBlockBytes;
     }
 
   private:
     std::uint32_t gran;
     std::uint64_t regionBytes;
+    std::uint32_t regionShift;  ///< log2(regionBytes)
 };
 
 } // namespace dbsim

@@ -75,7 +75,7 @@ DramController::enqueueRead(Addr block_addr, Cycle when, ReadCallback cb)
                     prof::Dram);
         return;
     }
-    readQ.push_back(ReadReq{a, when, std::move(cb)});
+    readQ.push_back(ReadReq{decode(a, when), std::move(cb)});
     scheduleService(when);
 }
 
@@ -87,7 +87,7 @@ DramController::enqueueWrite(Addr block_addr, Cycle when)
         ++statCoalesced;
         return;
     }
-    writeQ.push_back(WriteReq{a, when});
+    writeQ.push_back(decode(a, when));
     if (writeQ.size() >= cfg.writeBufEntries && !drainMode) {
         drainMode = true;
         drainStartAt = std::max(when, eq.now());
@@ -122,10 +122,7 @@ DramController::pickFrFcfs(const Queue &q) const
     // the first row hit — it is the oldest one — and falls back to the
     // queue head (the oldest request) when no row hits.
     for (std::size_t i = 0; i < q.size(); ++i) {
-        const auto &bank = banks[map.bank(q[i].addr)];
-        if (bank.openRow >= 0 &&
-            static_cast<std::uint64_t>(bank.openRow) ==
-                map.rowId(q[i].addr)) {
+        if (banks[q[i].bank].openRow == q[i].row) {
             return static_cast<int>(i);
         }
     }
@@ -133,13 +130,11 @@ DramController::pickFrFcfs(const Queue &q) const
 }
 
 Cycle
-DramController::issue(Addr addr, bool is_write, Cycle arrive, Cycle now)
+DramController::issue(const Request &req, bool is_write, Cycle now)
 {
-    Bank &bank = banks[map.bank(addr)];
-    std::uint64_t row = map.rowId(addr);
-
-    bool row_hit = bank.openRow >= 0 &&
-                   static_cast<std::uint64_t>(bank.openRow) == row;
+    Bank &bank = banks[req.bank];
+    const Cycle arrive = req.arrive;
+    bool row_hit = bank.openRow == req.row;
 
     // Bank preparation overlaps other banks' bus transfers: it may have
     // begun as soon as the request arrived and the bank was free, even
@@ -151,7 +146,7 @@ DramController::issue(Addr addr, bool is_write, Cycle arrive, Cycle now)
         Cycle pre = std::max({arrive, bank.prechargeOkAt,
                               bank.colCmdOkAt});
         Cycle act = pre;
-        if (bank.openRow >= 0) {
+        if (bank.openRow != kClosedRow) {
             act += static_cast<Cycle>(cfg.tRp) * cfg.tCkCpu;
         }
         if (numActivates >= 1) {
@@ -170,7 +165,7 @@ DramController::issue(Addr addr, bool is_write, Cycle arrive, Cycle now)
         ++statActivates;
 
         bank.rowReadyAt = act + static_cast<Cycle>(cfg.tRcd) * cfg.tCkCpu;
-        bank.openRow = static_cast<std::int64_t>(row);
+        bank.openRow = req.row;
         // tRAS floor for the next precharge.
         bank.prechargeOkAt =
             act + static_cast<Cycle>(cfg.tRas) * cfg.tCkCpu;
@@ -248,10 +243,10 @@ DramController::serviceNext()
     if (do_write) {
         int idx = pickFrFcfs(writeQ);
         panic_if(idx < 0, "drain with empty write queue");
-        WriteReq req = writeQ[static_cast<std::size_t>(idx)];
+        Request req = writeQ[static_cast<std::size_t>(idx)];
         writeQ.erase(writeQ.begin() + idx);
         writeQAddrs.erase(req.addr);
-        issue(req.addr, true, req.arrive, now);
+        issue(req, true, now);
         if (drainMode) {
             ++drainWrites;
         }
@@ -270,7 +265,7 @@ DramController::serviceNext()
         int idx = pickFrFcfs(readQ);
         ReadReq req = std::move(readQ[static_cast<std::size_t>(idx)]);
         readQ.erase(readQ.begin() + idx);
-        Cycle data_end = issue(req.addr, false, req.arrive, now);
+        Cycle data_end = issue(req, false, now);
         Cycle done = data_end + cfg.ioLatency;
         eq.schedule(done, [cb = std::move(req.cb), done] { cb(done); },
                     prof::Dram);

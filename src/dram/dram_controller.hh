@@ -141,22 +141,26 @@ class DramController : public BackingPort
     Counter statCoalesced;    ///< writes merged into an existing entry
 
   private:
-    struct ReadReq
+    /** A queued request, with its bank and row decoded at enqueue. */
+    struct Request
     {
         Addr addr;
         Cycle arrive;
+        std::uint32_t bank;
+        std::uint64_t row;  ///< global row id (DramAddrMap::rowId)
+    };
+
+    struct ReadReq : Request
+    {
         ReadCallback cb;
     };
 
-    struct WriteReq
-    {
-        Addr addr;
-        Cycle arrive;
-    };
+    /** Bank::openRow of a precharged (closed) bank. */
+    static constexpr std::uint64_t kClosedRow = ~std::uint64_t{0};
 
     struct Bank
     {
-        std::int64_t openRow = -1;  ///< -1 = precharged/closed
+        std::uint64_t openRow = kClosedRow;
         Cycle rowReadyAt = 0;       ///< open row usable (post-tRCD)
         Cycle colCmdOkAt = 0;       ///< next column command (tCCD chain)
         Cycle prechargeOkAt = 0;    ///< earliest precharge (tWR/tRAS)
@@ -171,17 +175,23 @@ class DramController : public BackingPort
     /** Close the current drain window and credit statDrainCycles. */
     void endDrain(Cycle now);
 
+    /** A request for block-aligned `addr`, arriving at `arrive`. */
+    Request decode(Addr addr, Cycle arrive) const
+    {
+        return Request{addr, arrive, map.bank(addr), map.rowId(addr)};
+    }
+
     /** FR-FCFS pick from a queue; returns index or -1 if empty. */
     template <typename Queue>
     int pickFrFcfs(const Queue &q) const;
 
     /**
-     * Issue one request to its bank; returns data-end cycle.
-     * @param arrive when the request entered the queue — bank
-     *        preparation (precharge/activate) is modeled as starting
-     *        while the request waited, so banks overlap bus transfers.
+     * Issue one request to its bank; returns data-end cycle. Bank
+     * preparation (precharge/activate) is modeled as starting at
+     * req.arrive, while the request waited, so banks overlap bus
+     * transfers.
      */
-    Cycle issue(Addr addr, bool is_write, Cycle arrive, Cycle now);
+    Cycle issue(const Request &req, bool is_write, Cycle now);
 
     DramConfig cfg;
     EventQueue &eq;
@@ -197,7 +207,7 @@ class DramController : public BackingPort
     std::uint64_t numActivates = 0;
 
     std::deque<ReadReq> readQ;
-    std::deque<WriteReq> writeQ;
+    std::deque<Request> writeQ;
 
     /**
      * Addresses currently in writeQ (coalescing keeps them distinct).

@@ -83,6 +83,38 @@ kv(std::string &out, const char *key, bool value)
     kv(out, key, std::string(value ? "1" : "0"));
 }
 
+/**
+ * The payload fields of a shard line, serialized: everything a hit
+ * returns. Its hash is stored with the line, and load() recomputes it
+ * from the parsed record, so a payload corrupted into other valid JSON
+ * is dropped instead of served.
+ */
+std::string
+payloadJson(const PointRecord &rec)
+{
+    std::string s = "\"mechanism\":" + jsonString(rec.mechanism) +
+                    ",\"mix\":" + jsonString(rec.mix) + ",\"metrics\":{";
+    bool first = true;
+    for (const auto &[k, v] : rec.metrics) {
+        if (!first) {
+            s += ",";
+        }
+        first = false;
+        s += jsonString(k) + ":" + jsonNumber(v);
+    }
+    s += "},\"stats\":{";
+    first = true;
+    for (const auto &[k, v] : rec.stats) {
+        if (!first) {
+            s += ",";
+        }
+        first = false;
+        s += jsonString(k) + ":" + jsonNumber(v);
+    }
+    s += "}";
+    return s;
+}
+
 } // namespace
 
 std::string
@@ -327,12 +359,14 @@ ResultCache::load()
                 continue;
             }
             PointRecord payload;
+            const JsonValue *sum = row.value.find("sum");
             const JsonValue *mechanism = row.value.find("mechanism");
             const JsonValue *mix = row.value.find("mix");
             const JsonValue *metrics = row.value.find("metrics");
             const JsonValue *stats = row.value.find("stats");
-            if (!mechanism || !mechanism->isString() || !mix ||
-                !mix->isString() || !metrics || !stats) {
+            if (!sum || !sum->isString() || !mechanism ||
+                !mechanism->isString() || !mix || !mix->isString() ||
+                !metrics || !stats) {
                 continue;
             }
             // Reuse the record-object loader by wrapping the payload
@@ -354,6 +388,9 @@ ResultCache::load()
             wrapper.members.emplace_back("metrics", *metrics);
             wrapper.members.emplace_back("stats", *stats);
             if (!pointRecordFromJson(wrapper, payload)) {
+                continue;
+            }
+            if (sum->text != keyHex(fnv1a64(payloadJson(payload)))) {
                 continue;
             }
             payload.experiment.clear();
@@ -400,29 +437,11 @@ ResultCache::insert(std::uint64_t key, const std::string &canon,
     e.payload.metrics = rec.metrics;
     e.payload.stats = rec.stats;
 
+    const std::string payload = payloadJson(rec);
     std::string line = "{\"key\":" + jsonString(keyHex(key)) +
                        ",\"canon\":" + jsonString(canon) +
-                       ",\"mechanism\":" + jsonString(rec.mechanism) +
-                       ",\"mix\":" + jsonString(rec.mix) +
-                       ",\"metrics\":{";
-    bool first = true;
-    for (const auto &[k, v] : rec.metrics) {
-        if (!first) {
-            line += ",";
-        }
-        first = false;
-        line += jsonString(k) + ":" + jsonNumber(v);
-    }
-    line += "},\"stats\":{";
-    first = true;
-    for (const auto &[k, v] : rec.stats) {
-        if (!first) {
-            line += ",";
-        }
-        first = false;
-        line += jsonString(k) + ":" + jsonNumber(v);
-    }
-    line += "}}";
+                       ",\"sum\":" + jsonString(keyHex(fnv1a64(payload))) +
+                       "," + payload + "}";
 
     std::ofstream out(shardPath(key), std::ios::app);
     if (out) {

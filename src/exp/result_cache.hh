@@ -89,7 +89,7 @@ class ResultCache
     static constexpr std::uint32_t kNumShards = 16;
 
     /** Store format version (index.json and entry prefix). */
-    static constexpr const char *kVersion = "farm-v1";
+    static constexpr const char *kVersion = "farm-v2";
 
     /**
      * Open (creating if needed) the store at `dir` and load every

@@ -90,10 +90,11 @@ Llc::functionalAccess(Addr block_addr, std::uint32_t core, bool is_write)
 
     // Demand access: train the predictor with the true outcome, then
     // touch or warm-fill. Misses also warm the level below.
-    bool hit = store.contains(a);
+    TagStore::Slot slot = store.find(a);
+    bool hit = slot != TagStore::kNoSlot;
     lookupPol->recordOutcome(a, core, hit, now);
     if (hit) {
-        store.touch(a, core);
+        store.touchSlot(slot);
     } else {
         functionalFill(a, core, false);
         backing.functionalAccess(a, false);
@@ -116,10 +117,10 @@ void
 Llc::functionalFill(Addr block_addr, std::uint32_t core, bool dirty)
 {
     Cycle now = eq.now();
-    if (store.contains(block_addr)) {
-        store.touch(block_addr, core);
+    if (TagStore::Slot s = store.find(block_addr); s != TagStore::kNoSlot) {
+        store.touchSlot(s);
         if (dirty) {
-            store.markDirty(block_addr);
+            store.setSlotDirty(s, true);
         }
         if (auditor) {
             auditor->onFill(block_addr, dirty, now);
@@ -191,8 +192,8 @@ Llc::normalRead(Addr block_addr, std::uint32_t core, Cycle when,
     Cycle start = occupyPort(when);
     Cycle tag_done = start + cfg.tagLatency;
 
-    TagStore::Entry *e = store.find(a);
-    bool hit = e != nullptr;
+    TagStore::Slot slot = store.find(a);
+    bool hit = slot != TagStore::kNoSlot;
     lookupPol->recordOutcome(a, core, hit, when);
     for (MetadataIndex *m : metaIndexes) {
         m->onRead(a, core, hit, when);
@@ -200,7 +201,7 @@ Llc::normalRead(Addr block_addr, std::uint32_t core, Cycle when,
 
     if (hit) {
         ++statDemandHits;
-        store.touch(a, core);
+        store.touchSlot(slot);
         Cycle done = tag_done + cfg.dataLatency;
         if constexpr (telemetry::kEnabled) {
             if (telem) {
@@ -241,8 +242,8 @@ Llc::countStoreDirtyInRow(Addr block_addr) const
     Addr base = map.rowBase(block_addr);
     std::uint64_t dirty = 0;
     for (std::uint32_t i = 0; i < map.blocksPerRow(); ++i) {
-        const TagStore::Entry *e = store.find(base + Addr{i} * kBlockBytes);
-        if (e && e->dirty) {
+        TagStore::Slot s = store.find(base + Addr{i} * kBlockBytes);
+        if (s != TagStore::kNoSlot && store.dirtyAt(s)) {
             ++dirty;
         }
     }
@@ -386,13 +387,13 @@ Llc::handleEviction(Addr block_addr, bool tag_dirty, Cycle when)
 void
 Llc::fillBlock(Addr block_addr, std::uint32_t core, bool dirty, Cycle when)
 {
-    if (store.contains(block_addr)) {
+    if (TagStore::Slot s = store.find(block_addr); s != TagStore::kNoSlot) {
         // Already filled by a racing writeback-allocate: promote, and
         // merge the incoming dirty state. Dropping it here would turn a
         // dirty writeback silently clean and lose a memory update.
-        store.touch(block_addr, core);
+        store.touchSlot(s);
         if (dirty) {
-            store.markDirty(block_addr);
+            store.setSlotDirty(s, true);
         }
         if (auditor) {
             auditor->onFill(block_addr, dirty, when);

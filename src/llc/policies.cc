@@ -15,8 +15,9 @@ TagDirtyStore::writebackIn(Addr block_addr, std::uint32_t core, Cycle when)
     Cycle start = llc->occupyPort(when);
     Cycle tag_done = start + llc->config().tagLatency;
 
-    if (llc->tags().contains(block_addr)) {
-        llc->tags().markDirty(block_addr);
+    TagStore &tags = llc->tags();
+    if (TagStore::Slot s = tags.find(block_addr); s != TagStore::kNoSlot) {
+        tags.setSlotDirty(s, true);
     } else {
         // Writeback-allocate: insert the incoming dirty block.
         llc->fillBlock(block_addr, core, true, tag_done);
@@ -28,8 +29,9 @@ TagDirtyStore::functionalWritebackIn(Addr block_addr, std::uint32_t core)
 {
     // writebackIn() minus the port/stat traffic: mark or
     // writeback-allocate dirty.
-    if (llc->tags().contains(block_addr)) {
-        llc->tags().markDirty(block_addr);
+    TagStore &tags = llc->tags();
+    if (TagStore::Slot s = tags.find(block_addr); s != TagStore::kNoSlot) {
+        tags.setSlotDirty(s, true);
     } else {
         llc->functionalFill(block_addr, core, true);
     }
@@ -38,8 +40,9 @@ TagDirtyStore::functionalWritebackIn(Addr block_addr, std::uint32_t core)
 bool
 TagDirtyStore::isDirty(Addr block_addr) const
 {
-    const TagStore::Entry *e = llc->tags().find(block_addr);
-    return e && e->dirty;
+    const TagStore &tags = llc->tags();
+    TagStore::Slot s = tags.find(block_addr);
+    return s != TagStore::kNoSlot && tags.dirtyAt(s);
 }
 
 bool
@@ -308,7 +311,7 @@ VwqSweepPolicy::setFlagged(std::uint32_t set) const
     // tag entries: probe the store for each LRU-way block of the set.
     const DirtyStore &ds = llc->dirtyStore();
     for (std::uint32_t way = 0; way < tags.assoc(); ++way) {
-        const TagStore::Entry &e = tags.entryAt(set, way);
+        const TagStore::Entry e = tags.entryAt(set, way);
         if (e.valid && tags.lruRank(e.block) < lruWays &&
             ds.probeDirty(e.block)) {
             return true;

@@ -50,6 +50,9 @@ resolveTopology(const TopologySpec &spec)
         spec.hopLatency ? spec.hopLatency : (t.sharded() ? 64 : 0);
 
     // -- Cross-axis validation: every combination checked here --------
+    fatal_if(!isPowerOf2(t.rowBytes) || t.rowBytes < kBlockBytes,
+             "dram.rowBytes (%llu) must be a power of two >= one block",
+             static_cast<unsigned long long>(t.rowBytes));
     fatal_if(!isPowerOf2(t.slices) || t.slices > 64,
              "llcSlices (%u) must be a power of two in [1,64]", t.slices);
     fatal_if(!isPowerOf2(t.channels) || t.channels > 64,

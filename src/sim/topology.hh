@@ -19,6 +19,7 @@
 #ifndef DBSIM_SIM_TOPOLOGY_HH
 #define DBSIM_SIM_TOPOLOGY_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -58,7 +59,7 @@ struct ShardTopology
      *  benchmark program (perfbench/) still reads it; to be removed
      *  with the next change to the benchmark. */
     static constexpr std::uint32_t workers = 1;
-    std::uint64_t rowBytes = 8192;
+    std::uint64_t rowBytes = 8192;  ///< a power of two, like the counts
 
     bool sharded() const { return partitions > 1; }
 
@@ -66,15 +67,18 @@ struct ShardTopology
     std::uint32_t
     sliceOf(Addr addr) const
     {
-        return static_cast<std::uint32_t>((addr / rowBytes) % slices);
+        return static_cast<std::uint32_t>(rowOf(addr) & (slices - 1));
     }
 
     /** DRAM channel owning the address (DRAM-row interleaved). */
     std::uint32_t
     channelOf(Addr addr) const
     {
-        return static_cast<std::uint32_t>((addr / rowBytes) % channels);
+        return static_cast<std::uint32_t>(rowOf(addr) & (channels - 1));
     }
+
+    /** Global DRAM row number of the address. */
+    Addr rowOf(Addr addr) const { return addr >> std::countr_zero(rowBytes); }
 
     std::uint32_t partitionOfSlice(std::uint32_t s) const { return s; }
     std::uint32_t partitionOfChannel(std::uint32_t c) const { return c; }

@@ -2,7 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <iterator>
+#include <map>
 
 #include "cache/tag_store.hh"
 #include "common/rng.hh"
@@ -125,30 +126,105 @@ TEST(TagStore, StatsCountHitsAndMisses)
     EXPECT_EQ(ts.statMisses.value(), 1u);
 }
 
-/** Property: contents always match a model set under random ops. */
+/**
+ * Property: under random accesses, fills, dirty-bit writes and
+ * invalidations, every way's (valid, dirty, block, owner) and the O(1)
+ * dirty count match a reference model, for every replacement policy.
+ */
 TEST(TagStore, PropertyMatchesReferenceModel)
 {
-    TagStore ts(smallLru());
-    Rng rng(77);
-    std::set<Addr> model;
-    for (int op = 0; op < 5000; ++op) {
-        Addr a = blockAlign(rng.below(1 << 16));
-        if (ts.contains(a)) {
-            ts.touch(a, 0);
-            ASSERT_TRUE(model.count(a));
-        } else {
-            auto ev = ts.insert(a, 0, rng.chance(0.3));
-            model.insert(a);
-            if (ev.valid) {
-                ASSERT_TRUE(model.count(ev.block));
-                model.erase(ev.block);
+    struct Line
+    {
+        bool dirty;
+        std::uint8_t owner;
+    };
+    for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::TaDip,
+                            ReplPolicy::Drrip, ReplPolicy::Random}) {
+        SCOPED_TRACE(testing::Message()
+                     << "policy " << static_cast<int>(repl));
+        // 4KB, 4-way: 16 sets, so set-dueling leaders are sets 0..3.
+        TagStore ts(CacheGeometry{4096, 4, repl, 2, 5});
+        Rng rng(77);
+        std::map<Addr, Line> model;
+        auto pickResident = [&] {
+            auto it = model.begin();
+            std::advance(it, static_cast<long>(rng.below(model.size())));
+            return it->first;
+        };
+        for (int op = 0; op < 5000; ++op) {
+            std::uint64_t kind = rng.below(10);
+            if (kind == 0 && !model.empty()) {
+                Addr a = pickResident();
+                ts.markDirty(a);
+                model[a].dirty = true;
+            } else if (kind == 1 && !model.empty()) {
+                Addr a = pickResident();
+                ts.markClean(a);
+                model[a].dirty = false;
+            } else if (kind == 2) {
+                Addr a = blockAlign(rng.below(1 << 16));
+                ts.invalidate(a);  // absent blocks are a no-op
+                model.erase(a);
+            } else {
+                Addr a = blockAlign(rng.below(1 << 16));
+                auto thread = static_cast<std::uint32_t>(rng.below(2));
+                TagStore::Slot s = ts.find(a);
+                if (s != TagStore::kNoSlot) {
+                    ASSERT_TRUE(model.count(a));
+                    ASSERT_EQ(ts.dirtyAt(s), model[a].dirty);
+                    ts.touchSlot(s);
+                } else {
+                    ASSERT_FALSE(model.count(a));
+                    bool dirty = rng.chance(0.3);
+                    auto ev = ts.insert(a, thread, dirty);
+                    if (ev.valid) {
+                        ASSERT_TRUE(model.count(ev.block));
+                        ASSERT_EQ(ev.dirty, model[ev.block].dirty);
+                        model.erase(ev.block);
+                    }
+                    model[a] = Line{dirty,
+                                    static_cast<std::uint8_t>(thread)};
+                }
             }
+
+            std::uint64_t model_dirty = 0;
+            for (const auto &[addr, line] : model) {
+                model_dirty += line.dirty;
+            }
+            ASSERT_EQ(ts.countDirty(), model_dirty);
+            std::size_t valid = 0;
+            for (std::uint32_t set = 0; set < ts.numSets(); ++set) {
+                for (std::uint32_t way = 0; way < ts.assoc(); ++way) {
+                    TagStore::Entry e = ts.entryAt(set, way);
+                    if (!e.valid) {
+                        ASSERT_FALSE(e.dirty);
+                        ASSERT_EQ(e.block, kInvalidAddr);
+                        continue;
+                    }
+                    ++valid;
+                    ASSERT_EQ(ts.setIndex(e.block), set);
+                    auto it = model.find(e.block);
+                    ASSERT_NE(it, model.end());
+                    ASSERT_EQ(e.dirty, it->second.dirty);
+                    ASSERT_EQ(e.owner, it->second.owner);
+                }
+            }
+            ASSERT_EQ(valid, model.size());
         }
-        ASSERT_LE(model.size(), 64u);  // capacity bound
     }
-    for (Addr a : model) {
-        ASSERT_TRUE(ts.contains(a));
+}
+
+TEST(TagStoreDeath, InsertOfResidentBlockPanics)
+{
+    // The resident block sits in a later way than the first free one:
+    // the fused free-way/residency scan must still see it.
+    TagStore ts(smallLru());
+    for (std::uint32_t i = 0; i < 3; ++i) {
+        ts.insert(addrForSet(6, i), 0, false);
     }
+    ts.invalidate(addrForSet(6, 0));
+    EXPECT_DEATH(ts.insert(addrForSet(6, 2), 0, false),
+                 "insert of resident block");
 }
 
 // --- TA-DIP behaviour ---

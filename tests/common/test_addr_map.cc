@@ -43,12 +43,34 @@ TEST(DramAddrMap, BlocksWithinRowShareRow)
 
 TEST(DramAddrMap, RoundTripProperty)
 {
-    DramAddrMap map(8192, 8);
-    Rng rng(7);
-    for (int i = 0; i < 1000; ++i) {
-        Addr a = blockAlign(rng.next() & ((Addr{1} << 44) - 1));
-        std::uint32_t idx = map.blockInRow(a);
-        EXPECT_EQ(map.blockInRowAddr(a, idx), a);
+    // The shift/mask decode must agree with the division formulas it
+    // replaces on every geometry, over the whole address space.
+    for (std::uint32_t channels : {1u, 2u, 4u}) {
+        for (std::uint32_t banks : {8u, 16u}) {
+            for (std::uint64_t row_bytes : {4096u, 8192u, 16384u}) {
+                SCOPED_TRACE(testing::Message()
+                             << channels << " ch, " << banks
+                             << " banks, " << row_bytes << " B rows");
+                DramAddrMap map(row_bytes, banks, channels);
+                Rng rng(7 + channels * 100 + banks + row_bytes);
+                for (int i = 0; i < 1000; ++i) {
+                    Addr a = rng.next();
+                    if (i % 2) {
+                        a = blockAlign(a & ((Addr{1} << 44) - 1));
+                    }
+                    std::uint64_t row = a / row_bytes;
+                    ASSERT_EQ(map.rowId(a), row);
+                    ASSERT_EQ(map.channel(a), row % channels);
+                    ASSERT_EQ(map.bank(a), (row / channels) % banks);
+                    ASSERT_EQ(map.rowInBank(a), row / channels / banks);
+                    ASSERT_EQ(map.blockInRow(a),
+                              (a % row_bytes) / kBlockBytes);
+                    ASSERT_EQ(map.rowBase(a), a - a % row_bytes);
+                    std::uint32_t idx = map.blockInRow(a);
+                    ASSERT_EQ(map.blockInRowAddr(a, idx), blockAlign(a));
+                }
+            }
+        }
     }
 }
 
@@ -74,13 +96,22 @@ TEST(DbiRegionMap, HalfRowGranularitySplitsRows)
 
 TEST(DbiRegionMap, RoundTripProperty)
 {
-    for (std::uint32_t gran : {16u, 32u, 64u, 128u}) {
+    for (std::uint32_t gran = 1; gran <= 128; gran *= 2) {
+        SCOPED_TRACE(testing::Message() << "granularity " << gran);
         DbiRegionMap map(gran);
+        const std::uint64_t region_bytes = std::uint64_t{gran} * kBlockBytes;
         Rng rng(gran);
         for (int i = 0; i < 500; ++i) {
-            Addr a = blockAlign(rng.next() & ((Addr{1} << 40) - 1));
-            EXPECT_EQ(map.blockAddr(map.regionTag(a), map.blockIndex(a)),
-                      a);
+            Addr a = rng.next();
+            if (i % 2) {
+                a = blockAlign(a & ((Addr{1} << 40) - 1));
+            }
+            // Against the division formulas the shift/mask decode
+            // replaces.
+            ASSERT_EQ(map.regionTag(a), a / region_bytes);
+            ASSERT_EQ(map.blockIndex(a), (a % region_bytes) / kBlockBytes);
+            ASSERT_EQ(map.blockAddr(map.regionTag(a), map.blockIndex(a)),
+                      blockAlign(a));
         }
     }
 }

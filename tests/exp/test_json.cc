@@ -307,10 +307,10 @@ TEST(JsonMutation, CacheShardMutantsLoadOrDropEntries)
     const std::string dir = test::tempPath("dbsim_mutation_cache");
     std::filesystem::remove_all(dir);
     auto canon = [](std::size_t p) { return "point=" + std::to_string(p); };
+    PointRecord rec;
+    rec.metrics["ipc0"] = 0.5;
     {
         ResultCache cache(dir);
-        PointRecord rec;
-        rec.metrics["ipc0"] = 0.5;
         for (std::size_t p = 0; p < 8; ++p) {
             cache.insert(fnv1a64(canon(p)), canon(p), rec);
         }
@@ -325,24 +325,63 @@ TEST(JsonMutation, CacheShardMutantsLoadOrDropEntries)
             targets.push_back(f.path());
         }
     }
-    Rng rng(0xcac4e);
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < 300; ++i) {
+    auto restore = [&] {
         for (const auto &[path, bytes] : good) {
             spit(path, bytes);
         }
+    };
+    // Every hit must serve exactly what was inserted: a payload
+    // corrupted into other valid JSON must be a miss.
+    std::size_t hits = 0;
+    auto lookupAll = [&](ResultCache &cache) {
+        for (std::size_t p = 0; p < 8; ++p) {
+            PointRecord out;
+            if (cache.lookup(fnv1a64(canon(p)), canon(p), out)) {
+                ++hits;
+                EXPECT_EQ(out.metrics, rec.metrics) << "point " << p;
+                EXPECT_EQ(out.stats, rec.stats) << "point " << p;
+                EXPECT_EQ(out.mechanism, rec.mechanism) << "point " << p;
+                EXPECT_EQ(out.mix, rec.mix) << "point " << p;
+            }
+        }
+    };
+    Rng rng(0xcac4e);
+    for (std::size_t i = 0; i < 300; ++i) {
+        restore();
         const std::string &t = targets[rng.below(targets.size())];
         spit(t, mutate(good[t], good[targets[rng.below(targets.size())]],
                        rng));
         ResultCache cache(dir);
         EXPECT_LE(cache.entryCount(), 8u);
-        for (std::size_t p = 0; p < 8; ++p) {
-            PointRecord out;
-            hits += cache.lookup(fnv1a64(canon(p)), canon(p), out);
-        }
+        lookupAll(cache);
     }
     EXPECT_GT(hits, 0u);
     EXPECT_LT(hits, 8u * 300);
+
+    // Random byte mutants seldom change a payload and leave the line
+    // valid. A digit edit after the canon always does: the key still
+    // hashes the canon, so only the payload checksum can catch it.
+    Rng digits(0xd1617);
+    for (std::size_t i = 0; i < 100; ++i) {
+        restore();
+        const std::string &t = targets[digits.below(targets.size())];
+        std::string m = good[t];
+        std::vector<std::size_t> at;
+        for (std::size_t c = m.find("\"mechanism\""); c < m.size(); ++c) {
+            if (m[c] >= '0' && m[c] <= '9') {
+                at.push_back(c);
+            }
+        }
+        if (at.empty()) {
+            continue;  // index.json
+        }
+        char &d = m[at[digits.below(at.size())]];
+        d = static_cast<char>('0' + (d - '0' + 1 + digits.below(9)) % 10);
+        spit(t, m);
+        ResultCache cache(dir);
+        EXPECT_EQ(cache.entryCount(), 7u) << m;
+        lookupAll(cache);
+    }
     std::filesystem::remove_all(dir);
 }
 

@@ -10,6 +10,7 @@
 
 #include <string>
 
+#include "common/rng.hh"
 #include "sim/mechanism.hh"
 #include "sim/system.hh"
 #include "sim/topology.hh"
@@ -105,6 +106,32 @@ TEST(Topology, DbiRowsNeverStraddleSlicesOrChannels)
     }
 }
 
+TEST(Topology, SliceAndChannelMatchTheDivisionFormulas)
+{
+    Rng rng(11);
+    for (std::uint32_t slices : {1u, 2u, 4u, 8u}) {
+        for (std::uint32_t channels : {1u, 2u, 4u}) {
+            for (std::uint64_t row_bytes : {4096u, 8192u, 16384u}) {
+                SCOPED_TRACE(testing::Message()
+                             << slices << " slices, " << channels
+                             << " ch, " << row_bytes << " B rows");
+                TopologySpec spec;
+                spec.numCores = 8;
+                spec.llcSlices = slices;
+                spec.dramChannels = channels;
+                spec.rowBytes = row_bytes;
+                spec.llcTotalBytes = 8ull << 20;
+                ShardTopology t = resolveTopology(spec);
+                for (int i = 0; i < 500; ++i) {
+                    Addr a = rng.next();
+                    ASSERT_EQ(t.sliceOf(a), (a / row_bytes) % slices);
+                    ASSERT_EQ(t.channelOf(a), (a / row_bytes) % channels);
+                }
+            }
+        }
+    }
+}
+
 TEST(TopologyDeath, RejectsBadAxisCombinations)
 {
     TopologySpec spec;
@@ -119,6 +146,10 @@ TEST(TopologyDeath, RejectsBadAxisCombinations)
     bad = spec;
     bad.dramChannels = 6;
     EXPECT_DEATH(resolveTopology(bad), "power of two");
+
+    bad = spec;
+    bad.rowBytes = 6144;  // sliceOf/channelOf decode rows by shifting
+    EXPECT_DEATH(resolveTopology(bad), "rowBytes.*power of two");
 
     bad = spec;
     bad.hopLatency = 64;  // one slice, one channel: nothing to hop

@@ -7,7 +7,8 @@ Runs the `smoke` bench (path given as argv[1]) through three legs:
      schema: index.json carries {"version","stamp","shards"}, every
      shard line is a JSON object whose 16-hex "key" equals the FNV-1a/64
      hash of its "canon" string AND lands in the shard file it was found
-     in, with the payload fields (mechanism/mix/metrics/stats) present.
+     in, with the payload fields (mechanism/mix/metrics/stats) and the
+     16-hex payload checksum "sum" present.
      Checks the JSONL + manifest schema: header pins {"farm","spec"},
      every entry's "line" hash matches the FNV-1a/64 of the positionally
      corresponding JSONL record line, and every record parses with the
@@ -106,6 +107,9 @@ def check_cache_dir(cache_dir: pathlib.Path):
                 check(int(key, 16) % shards == shard_no,
                       f"{shard_file.name}: key {key} belongs in shard "
                       f"{int(key, 16) % shards}")
+            check(isinstance(row.get("sum"), str) and
+                  re.fullmatch(r"[0-9a-f]{16}", row["sum"]),
+                  f"{shard_file.name}: payload checksum 'sum' missing")
             for field in ("mechanism", "mix", "metrics", "stats"):
                 check(field in row,
                       f"{shard_file.name}: payload lacks '{field}'")
