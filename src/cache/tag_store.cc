@@ -22,7 +22,6 @@ TagStore::TagStore(const CacheGeometry &geometry)
     tags.assign(n, kInvalidAddr);
     touches.assign(n, 0);
     meta.assign(n, 0);
-    owners.assign(n, 0);
     fatal_if(geo.numThreads == 0, "need at least one thread");
     psel.assign(geo.numThreads, kPselInit);
 }
@@ -184,7 +183,6 @@ TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
     nDirty -= static_cast<std::uint64_t>(dirtyAt(s));
     nDirty += static_cast<std::uint64_t>(dirty);
     tags[s] = a;
-    owners[s] = static_cast<std::uint8_t>(thread);
 
     bool bimodal = useBimodal(set, thread);
     lastBimodal = false;
@@ -294,7 +292,6 @@ TagStore::entryAt(std::uint32_t set, std::uint32_t way) const
     if (e.valid) {
         e.block = tags[s];
         e.dirty = dirtyAt(s);
-        e.owner = owners[s];
     }
     return e;
 }

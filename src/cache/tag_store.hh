@@ -48,10 +48,9 @@ struct CacheGeometry
  * dirtiness decisions is.
  *
  * The state lives in one copy, as dense per-field arrays indexed by
- * slot (set * assoc + way): 8 B tag, 8 B touch time, 1 B dirty|RRPV,
- * 1 B owner — 18 B per entry. A caller locates a block once with
- * find() and then acts on the returned slot, so one access scans its
- * set once.
+ * slot (set * assoc + way): 8 B tag, 8 B touch time, 1 B dirty|RRPV
+ * — 17 B per entry. A caller locates a block once with find() and then
+ * acts on the returned slot, so one access scans its set once.
  */
 class TagStore
 {
@@ -68,7 +67,6 @@ class TagStore
         Addr block = kInvalidAddr;  ///< aligned block address
         bool valid = false;
         bool dirty = false;
-        std::uint8_t owner = 0;     ///< inserting thread
     };
 
     /** Result of an insertion: the displaced entry, if any. */
@@ -198,8 +196,6 @@ class TagStore
     std::vector<std::uint64_t> touches;
     /** Per slot: dirty bit (kDirtyBit) | 2-bit DRRIP RRPV. */
     std::vector<std::uint8_t> meta;
-    /** Inserting thread per slot. */
-    std::vector<std::uint8_t> owners;
 
     static constexpr std::uint8_t kDirtyBit = 0x80;
     static constexpr std::uint8_t kRrpvMask = 0x7f;

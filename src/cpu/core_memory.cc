@@ -84,31 +84,28 @@ CoreMemory::accessBelowL2(Addr block_addr, bool is_write, Cycle when,
 {
     // MSHR merge: a secondary miss to a block already being filled
     // waits for that fill instead of issuing another LLC access.
-    auto it = inflight.find(block_addr);
-    if (it != inflight.end()) {
+    if (std::vector<Waiter> *waiting = inflight.find(block_addr)) {
         ++statMshrMerges;
-        it->second.push_back(Waiter{is_write, std::move(on_done)});
+        waiting->push_back(Waiter{is_write, std::move(on_done)});
         return Result{true, 0};
     }
 
     // Recycle retired waiter vectors: their capacity survives the round
     // trip through the pool, so the steady state allocates nothing.
-    std::vector<Waiter> fresh;
+    std::vector<Waiter> &fresh = inflight.insert(block_addr);
     if (!waiterPool.empty()) {
         fresh = std::move(waiterPool.back());
         waiterPool.pop_back();
     }
     fresh.push_back(Waiter{is_write, std::move(on_done)});
-    inflight.emplace(block_addr, std::move(fresh));
 
     ++statLlcAccesses;
     Cycle at = llcAccessTime(when);
     llc.read(block_addr, coreId, at, [this, block_addr](Cycle done) {
-        auto node = inflight.find(block_addr);
-        panic_if(node == inflight.end(),
-                 "fill completion without MSHR entry");
-        std::vector<Waiter> waiters = std::move(node->second);
-        inflight.erase(node);
+        std::vector<Waiter> *node = inflight.find(block_addr);
+        panic_if(!node, "fill completion without MSHR entry");
+        std::vector<Waiter> waiters = std::move(*node);
+        inflight.erase(block_addr);
 
         bool any_write = false;
         for (const auto &w : waiters) {

@@ -68,7 +68,7 @@ DramController::enqueueRead(Addr block_addr, Cycle when, ReadCallback cb)
 {
     Addr a = blockAlign(block_addr);
     // Read-around-write: forward from the write buffer if present.
-    if (writeQAddrs.count(a)) {
+    if (writeQAddrs.contains(a)) {
         ++statForwards;
         Cycle done = when + cfg.ioLatency;
         eq.schedule(done, [cb = std::move(cb), done] { cb(done); },
@@ -83,10 +83,11 @@ void
 DramController::enqueueWrite(Addr block_addr, Cycle when)
 {
     Addr a = blockAlign(block_addr);
-    if (!writeQAddrs.insert(a).second) {
+    if (writeQAddrs.contains(a)) {
         ++statCoalesced;
         return;
     }
+    writeQAddrs.insert(a);
     writeQ.push_back(decode(a, when));
     if (writeQ.size() >= cfg.writeBufEntries && !drainMode) {
         drainMode = true;

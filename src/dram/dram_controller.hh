@@ -15,10 +15,10 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/addr_map.hh"
+#include "common/addr_table.hh"
 #include "common/event_queue.hh"
 #include "common/shard.hh"
 #include "common/stats.hh"
@@ -215,7 +215,7 @@ class DramController : public BackingPort
      * checks are O(1) instead of scanning the buffer; never iterated,
      * so it cannot perturb determinism.
      */
-    std::unordered_set<Addr> writeQAddrs;
+    AddrSet writeQAddrs;
     bool drainMode = false;
     Cycle drainStartAt = 0;
     std::uint64_t drainWrites = 0;  ///< writes serviced this window

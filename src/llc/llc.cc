@@ -254,29 +254,34 @@ void
 Llc::missToDram(Addr block_addr, std::uint32_t core, Cycle when,
                 Callback cb)
 {
-    auto it = pendingReads.find(block_addr);
-    if (it != pendingReads.end()) {
+    if (Pending *in_flight = pendingReads.find(block_addr)) {
         // Merge with the in-flight request for the same block.
-        it->second.cbs.push_back(std::move(cb));
+        in_flight->cbs.push_back(std::move(cb));
         return;
     }
 
-    Pending p;
+    // Recycle retired callback lists, as CoreMemory does its waiters.
+    Pending &p = pendingReads.insert(block_addr);
     p.core = core;
+    if (!cbPool.empty()) {
+        p.cbs = std::move(cbPool.back());
+        cbPool.pop_back();
+    }
     p.cbs.push_back(std::move(cb));
-    pendingReads.emplace(block_addr, std::move(p));
 
     dramRead(block_addr, when, [this, block_addr](Cycle done) {
-        auto pit = pendingReads.find(block_addr);
-        panic_if(pit == pendingReads.end(), "orphan DRAM completion");
-        Pending p = std::move(pit->second);
-        pendingReads.erase(pit);
+        Pending *pit = pendingReads.find(block_addr);
+        panic_if(!pit, "orphan DRAM completion");
+        Pending p = std::move(*pit);
+        pendingReads.erase(block_addr);
         // Fill, then complete all merged requesters.
         fillBlock(block_addr, p.core, false, done);
         endAuditOp();
         for (auto &waiting : p.cbs) {
             waiting(done);
         }
+        p.cbs.clear();
+        cbPool.push_back(std::move(p.cbs));
     });
 }
 

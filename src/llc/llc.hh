@@ -22,10 +22,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/tag_store.hh"
+#include "common/addr_table.hh"
 #include "common/event_queue.hh"
 #include "common/shard.hh"
 #include "common/stats.hh"
@@ -379,10 +379,13 @@ class Llc : public LlcPort
     /** Outstanding demand reads: block -> waiting callbacks + owner. */
     struct Pending
     {
-        std::uint32_t core;
+        std::uint32_t core = 0;
         std::vector<Callback> cbs;
     };
-    std::unordered_map<Addr, Pending> pendingReads;
+    AddrTable<Pending> pendingReads;
+
+    /** Retired callback lists, kept to reuse their capacity. */
+    std::vector<std::vector<Callback>> cbPool;
 };
 
 } // namespace dbsim

@@ -163,14 +163,17 @@ class ShardLlcPort : public LlcPort
         }
         ShardFabric *f = &fab;
         std::uint32_t src = part;
+        // Each hop runs once, so the core's callback moves through both
+        // instead of being copied (its closure lives on the heap).
         f->send(src, dst, when,
                 [llc, block_addr, core, cb = std::move(cb), f, src,
-                 dst](Cycle at) {
+                 dst](Cycle at) mutable {
                     llc->read(block_addr, core, at,
-                              [f, src, dst, cb](Cycle done) {
+                              [f, src, dst,
+                               cb = std::move(cb)](Cycle done) mutable {
                                   // Response hop back to the core's
                                   // shard.
-                                  f->send(dst, src, done, cb,
+                                  f->send(dst, src, done, std::move(cb),
                                           "llcReadResp");
                               });
                 },

@@ -78,7 +78,8 @@ class SyntheticTrace : public TraceSource
     static constexpr std::uint64_t kRowBytes = 8192;
     static constexpr std::uint32_t kBlocksPerRow = 128;
 
-    double meanGap;
+    /** Gaps are drawn uniformly from [0, gapSpan). */
+    std::uint64_t gapSpan;
 };
 
 } // namespace dbsim

@@ -128,16 +128,11 @@ TEST(TagStore, StatsCountHitsAndMisses)
 
 /**
  * Property: under random accesses, fills, dirty-bit writes and
- * invalidations, every way's (valid, dirty, block, owner) and the O(1)
+ * invalidations, every way's (valid, dirty, block) and the O(1)
  * dirty count match a reference model, for every replacement policy.
  */
 TEST(TagStore, PropertyMatchesReferenceModel)
 {
-    struct Line
-    {
-        bool dirty;
-        std::uint8_t owner;
-    };
     for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::TaDip,
                             ReplPolicy::Drrip, ReplPolicy::Random}) {
         SCOPED_TRACE(testing::Message()
@@ -145,7 +140,7 @@ TEST(TagStore, PropertyMatchesReferenceModel)
         // 4KB, 4-way: 16 sets, so set-dueling leaders are sets 0..3.
         TagStore ts(CacheGeometry{4096, 4, repl, 2, 5});
         Rng rng(77);
-        std::map<Addr, Line> model;
+        std::map<Addr, bool> model;
         auto pickResident = [&] {
             auto it = model.begin();
             std::advance(it, static_cast<long>(rng.below(model.size())));
@@ -156,11 +151,11 @@ TEST(TagStore, PropertyMatchesReferenceModel)
             if (kind == 0 && !model.empty()) {
                 Addr a = pickResident();
                 ts.markDirty(a);
-                model[a].dirty = true;
+                model[a] = true;
             } else if (kind == 1 && !model.empty()) {
                 Addr a = pickResident();
                 ts.markClean(a);
-                model[a].dirty = false;
+                model[a] = false;
             } else if (kind == 2) {
                 Addr a = blockAlign(rng.below(1 << 16));
                 ts.invalidate(a);  // absent blocks are a no-op
@@ -171,7 +166,7 @@ TEST(TagStore, PropertyMatchesReferenceModel)
                 TagStore::Slot s = ts.find(a);
                 if (s != TagStore::kNoSlot) {
                     ASSERT_TRUE(model.count(a));
-                    ASSERT_EQ(ts.dirtyAt(s), model[a].dirty);
+                    ASSERT_EQ(ts.dirtyAt(s), model[a]);
                     ts.touchSlot(s);
                 } else {
                     ASSERT_FALSE(model.count(a));
@@ -179,17 +174,16 @@ TEST(TagStore, PropertyMatchesReferenceModel)
                     auto ev = ts.insert(a, thread, dirty);
                     if (ev.valid) {
                         ASSERT_TRUE(model.count(ev.block));
-                        ASSERT_EQ(ev.dirty, model[ev.block].dirty);
+                        ASSERT_EQ(ev.dirty, model[ev.block]);
                         model.erase(ev.block);
                     }
-                    model[a] = Line{dirty,
-                                    static_cast<std::uint8_t>(thread)};
+                    model[a] = dirty;
                 }
             }
 
             std::uint64_t model_dirty = 0;
-            for (const auto &[addr, line] : model) {
-                model_dirty += line.dirty;
+            for (const auto &[addr, dirty] : model) {
+                model_dirty += dirty;
             }
             ASSERT_EQ(ts.countDirty(), model_dirty);
             std::size_t valid = 0;
@@ -205,8 +199,7 @@ TEST(TagStore, PropertyMatchesReferenceModel)
                     ASSERT_EQ(ts.setIndex(e.block), set);
                     auto it = model.find(e.block);
                     ASSERT_NE(it, model.end());
-                    ASSERT_EQ(e.dirty, it->second.dirty);
-                    ASSERT_EQ(e.owner, it->second.owner);
+                    ASSERT_EQ(e.dirty, it->second);
                 }
             }
             ASSERT_EQ(valid, model.size());

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/addr_table.hh"
 #include "common/event_queue.hh"
 #include "cpu/core_memory.hh"
 #include "dram/dram_controller.hh"
@@ -105,6 +108,35 @@ TEST_F(CoreMemoryTest, MshrMergeSecondaryMisses)
     EXPECT_EQ(completions, 3);
     EXPECT_EQ(mem.mshrsInUse(), 0u);
     EXPECT_EQ(mem.statLlcAccesses.value(), 1u);
+}
+
+/**
+ * More blocks in flight than the MSHR table's initial capacity, each
+ * with merged secondaries, so the table grows while its waiter lists
+ * hold live callbacks. Every callback fires exactly once and every
+ * MSHR frees.
+ */
+TEST_F(CoreMemoryTest, ManyOutstandingMissesAllComplete)
+{
+    constexpr int kBlocks = 40;
+    static_assert(kBlocks > AddrTable<int>::kInitialCapacity);
+    std::vector<int> fired(3 * kBlocks, 0);
+    for (int b = 0; b < kBlocks; ++b) {
+        Addr base = 0x100000 + static_cast<Addr>(b) * kBlockBytes;
+        Cycle t = static_cast<Cycle>(b);
+        mem.load(base, t, [&fired, b](Cycle) { ++fired[3 * b]; });
+        mem.store(base + 8, t, [&fired, b](Cycle) { ++fired[3 * b + 1]; });
+        mem.load(base + 16, t, [&fired, b](Cycle) { ++fired[3 * b + 2]; });
+    }
+    EXPECT_EQ(mem.mshrsInUse(), static_cast<std::uint32_t>(kBlocks));
+    EXPECT_EQ(mem.statMshrMerges.value(), 2u * kBlocks);
+    eq.runAll();
+    for (std::size_t i = 0; i < fired.size(); ++i) {
+        EXPECT_EQ(fired[i], 1) << "waiter " << i;
+    }
+    EXPECT_EQ(mem.mshrsInUse(), 0u);
+    EXPECT_EQ(mem.statLlcAccesses.value(),
+              static_cast<std::uint64_t>(kBlocks));
 }
 
 TEST_F(CoreMemoryTest, MergedStoreDirtiesTheFill)

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/event_queue.hh"
 #include "common/rng.hh"
@@ -100,6 +101,33 @@ TEST_F(LlcTest, DuplicateMissesMergeToOneDramRead)
     eq.runAll();
     EXPECT_EQ(completions, 2);
     EXPECT_EQ(dram.statReads.value(), 1u);
+}
+
+/**
+ * Two cores miss on the same 64 blocks — four times the pending-miss
+ * table's initial capacity — before any fill returns: each block costs
+ * one DRAM read, and all 128 callbacks fire exactly once.
+ */
+TEST_F(LlcTest, CrossCoreMissesMergeAcrossTableGrowth)
+{
+    LlcConfig cfg = smallLlc();
+    cfg.numCores = 2;
+    Llc llc(cfg, dram, eq);
+    constexpr int kBlocks = 64;
+    std::vector<int> fired(2 * kBlocks, 0);
+    for (std::uint32_t core = 0; core < 2; ++core) {
+        for (int b = 0; b < kBlocks; ++b) {
+            Addr a = 0x40000 + static_cast<Addr>(b) * kBlockBytes;
+            int slot = static_cast<int>(core) * kBlocks + b;
+            llc.read(a, core, core, [&fired, slot](Cycle) { ++fired[slot]; });
+        }
+    }
+    eq.runAll();
+    EXPECT_EQ(dram.statReads.value(), static_cast<std::uint64_t>(kBlocks));
+    EXPECT_EQ(llc.statDemandMisses.value(), 2u * kBlocks);
+    for (std::size_t i = 0; i < fired.size(); ++i) {
+        EXPECT_EQ(fired[i], 1) << "request " << i;
+    }
 }
 
 TEST_F(LlcTest, WritebackMarksResidentBlockDirty)

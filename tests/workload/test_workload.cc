@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <set>
 
 #include "workload/mixes.hh"
@@ -48,6 +50,88 @@ TEST(SyntheticTrace, DeterministicForSeed)
         EXPECT_EQ(x.addr, y.addr);
         EXPECT_EQ(x.dependent, y.dependent);
     }
+}
+
+/**
+ * The generated streams themselves are frozen: FNV-1a over the first
+ * 200k ops (gap, isWrite, dependent, addr) of every profile, for cores
+ * 0 and 3 at seed 1. DeterministicForSeed compares two instances of
+ * the same code, so only this catches a change to what the generator
+ * emits. A deliberate change regenerates the table from the failure
+ * messages and justifies the diff, as for the mechanism goldens.
+ */
+TEST(SyntheticTrace, StreamMatchesFrozenDigest)
+{
+    struct Frozen
+    {
+        const char *profile;
+        std::uint32_t core;
+        std::uint64_t digest;
+    };
+    static const Frozen kFrozen[] = {
+        {"mcf", 0, 0xe2bde4e6cbd0b25dULL},
+        {"mcf", 3, 0x93824caee1b90819ULL},
+        {"lbm", 0, 0x6f673ef644617a14ULL},
+        {"lbm", 3, 0xd6150a79b0d89abdULL},
+        {"GemsFDTD", 0, 0xeb5b6c305d55ea5fULL},
+        {"GemsFDTD", 3, 0xc83cea668e6fcfcbULL},
+        {"soplex", 0, 0x807f12835724c6d1ULL},
+        {"soplex", 3, 0x3df2adeb353aeae5ULL},
+        {"omnetpp", 0, 0x2d979689bda9a576ULL},
+        {"omnetpp", 3, 0xbb482b8a2287d9bcULL},
+        {"cactusADM", 0, 0x2470a1388680a52aULL},
+        {"cactusADM", 3, 0x98803730e5cd3438ULL},
+        {"stream", 0, 0xea20fa5f4a006c9aULL},
+        {"stream", 3, 0x8ec129ad59cdf779ULL},
+        {"leslie3d", 0, 0xb8ebb5dd7821753fULL},
+        {"leslie3d", 3, 0x12858a652f502a59ULL},
+        {"milc", 0, 0x06d88d3eec3ff742ULL},
+        {"milc", 3, 0x3967d4d37f7f990aULL},
+        {"sphinx3", 0, 0xc0d9b774c688d5faULL},
+        {"sphinx3", 3, 0x98a9ecfa6bdbf6f2ULL},
+        {"libquantum", 0, 0x191e6fd1357218e2ULL},
+        {"libquantum", 3, 0x1539f8659c49bc8eULL},
+        {"bzip2", 0, 0xe6f6429d5a9c2d57ULL},
+        {"bzip2", 3, 0xc30b2071c6c768caULL},
+        {"astar", 0, 0xa0c9323c7b685c96ULL},
+        {"astar", 3, 0x2305d07ae8ed0cc6ULL},
+        {"bwaves", 0, 0x941d9734a65386cfULL},
+        {"bwaves", 3, 0x8f46c04ff94fc470ULL},
+    };
+
+    auto fold = [](std::uint64_t h, std::uint64_t v, int bytes) {
+        for (int i = 0; i < bytes; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+        return h;
+    };
+    std::size_t checked = 0;
+    for (const auto &prof : allBenchmarks()) {
+        for (std::uint32_t core : {0u, 3u}) {
+            SyntheticTrace t(prof, core, 1);
+            std::uint64_t h = 1469598103934665603ULL;
+            for (int i = 0; i < 200000; ++i) {
+                TraceOp op = t.next();
+                h = fold(h, op.gap, 4);
+                h = fold(h, op.isWrite, 1);
+                h = fold(h, op.dependent, 1);
+                h = fold(h, op.addr, 8);
+            }
+            const Frozen *want = nullptr;
+            for (const Frozen &f : kFrozen) {
+                if (prof.name == f.profile && core == f.core) {
+                    want = &f;
+                }
+            }
+            ASSERT_NE(want, nullptr) << prof.name << " core " << core;
+            EXPECT_EQ(h, want->digest)
+                << "{\"" << prof.name << "\", " << core << ", 0x"
+                << std::hex << h << "ULL},";
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, std::size(kFrozen));
 }
 
 TEST(SyntheticTrace, CoresGetDisjointAddressSpaces)
