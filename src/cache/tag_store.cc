@@ -151,22 +151,30 @@ TagStore::victimWay(std::uint32_t set)
 TagStore::Eviction
 TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
 {
+    Fill f = insertIfAbsent(block_addr, thread, dirty);
+    panic_if(f.hit, "insert of resident block %llx",
+             static_cast<unsigned long long>(blockAlign(block_addr)));
+    return f.ev;
+}
+
+TagStore::Fill
+TagStore::insertIfAbsent(Addr block_addr, std::uint32_t thread, bool dirty)
+{
     Addr a = blockAlign(block_addr);
     std::uint32_t set = setIndex(a);
     Slot base = slotOf(set, 0);
 
-    // One pass over the set: the first free way, and the resident check.
+    // One pass over the set: the resident entry, else the first free way.
     const Addr *set_tags = tags.data() + base;
     std::uint32_t way = geo.assoc;
-    bool resident = false;
     for (std::uint32_t w = 0; w < geo.assoc; ++w) {
-        resident |= set_tags[w] == a;
+        if (set_tags[w] == a) {
+            return Fill{base + w, true, Eviction{}};
+        }
         if (way == geo.assoc && set_tags[w] == kInvalidAddr) {
             way = w;
         }
     }
-    panic_if(resident, "insert of resident block %llx",
-             static_cast<unsigned long long>(a));
     ++statMisses;
     ++statInsertions;
 
@@ -211,7 +219,7 @@ TagStore::insert(Addr block_addr, std::uint32_t thread, bool dirty)
         break;
     }
     meta[s] = static_cast<std::uint8_t>(rrpv | (dirty ? kDirtyBit : 0));
-    return ev;
+    return Fill{s, false, ev};
 }
 
 void

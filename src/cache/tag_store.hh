@@ -77,6 +77,14 @@ class TagStore
         bool dirty = false;
     };
 
+    /** Result of insertIfAbsent(). */
+    struct Fill
+    {
+        Slot slot;    ///< the resident entry, or the one just inserted
+        bool hit;     ///< the block was already resident
+        Eviction ev;  ///< what the insertion displaced (never on a hit)
+    };
+
     explicit TagStore(const CacheGeometry &geometry);
 
     std::uint32_t numSets() const { return nSets; }
@@ -128,6 +136,14 @@ class TagStore
      * @return the displaced entry (valid=false if a free way was used).
      */
     Eviction insert(Addr block_addr, std::uint32_t thread, bool dirty);
+
+    /**
+     * find() and, when absent, insert() in one scan of the set. A hit
+     * changes nothing (no replacement update, no stats): the caller
+     * acts on the returned slot, e.g. touchSlot(). A miss is exactly
+     * insert(block_addr, thread, dirty).
+     */
+    Fill insertIfAbsent(Addr block_addr, std::uint32_t thread, bool dirty);
 
     /** Remove a block if present. */
     void invalidate(Addr block_addr);

@@ -19,14 +19,7 @@ Core::Core(std::uint32_t core_id, const CoreConfig &config,
     doneTarget = cfg.warmupInstrs + cfg.measureInstrs;
     haltTarget = cfg.maxOverrun != 0 ? doneTarget * cfg.maxOverrun : 0;
 
-    // Resume after an MSHR-full stall.
-    mem.onMshrFreed([this] {
-        if (blocked && !halted) {
-            blocked = false;
-            lastIssueCycle = std::max(lastIssueCycle, eq.now());
-            runAhead();
-        }
-    });
+    mem.attachClient(this);
 }
 
 void
@@ -100,6 +93,22 @@ Core::memoryDone(std::uint64_t instr_idx, Cycle c)
 }
 
 void
+Core::fillDone(std::span<const CoreMemory::Waiter> waiters, Cycle when)
+{
+    for (const CoreMemory::Waiter &w : waiters) {
+        if (!w.isWrite) {
+            memoryDone(w.tag, when);
+        }
+    }
+    // Resume after an MSHR-full stall.
+    if (blocked && !halted) {
+        blocked = false;
+        lastIssueCycle = std::max(lastIssueCycle, eq.now());
+        runAhead();
+    }
+}
+
+void
 Core::runAhead()
 {
     if (halted) {
@@ -125,7 +134,7 @@ Core::runAhead()
 
         // Window constraint: instruction i needs slot i-ROB retired.
         // (A genuine deadlock here is impossible: the head of the
-        // window is a pending load whose completion callback resumes
+        // window is a pending load whose fill completion resumes
         // us; System::run's maxCycles guard backstops real bugs.)
         if (nextIssue >= cfg.robSize &&
             nextIssue - cfg.robSize >= resolvedUpTo) {
@@ -167,13 +176,10 @@ Core::runAhead()
                 // Stores retire promptly (store buffer); store-miss
                 // fills still occupy an MSHR until they return.
                 comp = issue + 1;
-                mem.store(curOp.addr, issue, [](Cycle) {});
+                mem.store(curOp.addr, issue);
                 lastMemCompletion = comp;
             } else {
-                auto res = mem.load(curOp.addr, issue,
-                                    [this, idx](Cycle c) {
-                                        memoryDone(idx, c);
-                                    });
+                auto res = mem.load(curOp.addr, issue, idx);
                 if (res.pending) {
                     comp = kCycleMax;
                 } else {

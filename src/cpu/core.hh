@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -50,9 +51,11 @@ struct CoreConfig
 
 /**
  * One simulated core. Drives its trace through the memory hierarchy and
- * reports IPC over the measurement window.
+ * reports IPC over the measurement window. A load's completion is named
+ * by its instruction index: the core hands that tag to CoreMemory and
+ * receives every fill back through its CoreMemory::Client hook.
  */
-class Core
+class Core : private CoreMemory::Client
 {
   public:
     /** (core_id, warmed: crossed warmup / done: finished measuring) */
@@ -66,6 +69,10 @@ class Core
     Core(std::uint32_t core_id, const CoreConfig &config,
          TraceSource &trace_source, CoreMemory &memory,
          ShardContext context);
+
+    // The memory hierarchy and the event queue hold this core's address.
+    Core(const Core &) = delete;
+    Core &operator=(const Core &) = delete;
 
     /** Schedule the core's first work at cycle 0. */
     void start();
@@ -101,6 +108,10 @@ class Core
 
     /** A pending memory access completed at cycle c. */
     void memoryDone(std::uint64_t instr_idx, Cycle c);
+
+    /** CoreMemory::Client: complete the fill's loads, then resume. */
+    void fillDone(std::span<const CoreMemory::Waiter> waiters,
+                  Cycle when) override;
 
     std::uint32_t coreId;
     CoreConfig cfg;

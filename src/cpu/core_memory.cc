@@ -28,35 +28,31 @@ CoreMemory::registerStats(StatSet &set)
 void
 CoreMemory::fillL1(Addr block_addr, bool dirty, Cycle when)
 {
-    if (TagStore::Slot s = l1.find(block_addr); s != TagStore::kNoSlot) {
-        l1.touchSlot(s);
+    TagStore::Fill f = l1.insertIfAbsent(block_addr, 0, dirty);
+    if (f.hit) {
+        l1.touchSlot(f.slot);
         if (dirty) {
-            l1.setSlotDirty(s, true);
+            l1.setSlotDirty(f.slot, true);
         }
-        return;
-    }
-    TagStore::Eviction ev = l1.insert(block_addr, 0, dirty);
-    if (ev.valid && ev.dirty) {
+    } else if (f.ev.valid && f.ev.dirty) {
         // L1 dirty victim spills into L2.
-        fillL2(ev.block, true, when);
+        fillL2(f.ev.block, true, when);
     }
 }
 
 void
 CoreMemory::fillL2(Addr block_addr, bool dirty, Cycle when)
 {
-    if (TagStore::Slot s = l2.find(block_addr); s != TagStore::kNoSlot) {
-        l2.touchSlot(s);
+    TagStore::Fill f = l2.insertIfAbsent(block_addr, 0, dirty);
+    if (f.hit) {
+        l2.touchSlot(f.slot);
         if (dirty) {
-            l2.setSlotDirty(s, true);
+            l2.setSlotDirty(f.slot, true);
         }
-        return;
-    }
-    TagStore::Eviction ev = l2.insert(block_addr, 0, dirty);
-    if (ev.valid && ev.dirty) {
+    } else if (f.ev.valid && f.ev.dirty) {
         // L2 dirty victim becomes a writeback request to the LLC
         // (Section 2.2.2).
-        llc.writeback(ev.block, coreId, when);
+        llc.writeback(f.ev.block, coreId, when);
     }
 }
 
@@ -79,14 +75,13 @@ CoreMemory::llcAccessTime(Cycle when) const
 }
 
 CoreMemory::Result
-CoreMemory::accessBelowL2(Addr block_addr, bool is_write, Cycle when,
-                          Callback on_done)
+CoreMemory::accessBelowL2(Addr block_addr, Waiter waiter, Cycle when)
 {
     // MSHR merge: a secondary miss to a block already being filled
     // waits for that fill instead of issuing another LLC access.
     if (std::vector<Waiter> *waiting = inflight.find(block_addr)) {
         ++statMshrMerges;
-        waiting->push_back(Waiter{is_write, std::move(on_done)});
+        waiting->push_back(waiter);
         return Result{true, 0};
     }
 
@@ -97,36 +92,40 @@ CoreMemory::accessBelowL2(Addr block_addr, bool is_write, Cycle when,
         fresh = std::move(waiterPool.back());
         waiterPool.pop_back();
     }
-    fresh.push_back(Waiter{is_write, std::move(on_done)});
+    fresh.push_back(waiter);
 
     ++statLlcAccesses;
     Cycle at = llcAccessTime(when);
     llc.read(block_addr, coreId, at, [this, block_addr](Cycle done) {
-        std::vector<Waiter> *node = inflight.find(block_addr);
-        panic_if(!node, "fill completion without MSHR entry");
-        std::vector<Waiter> waiters = std::move(*node);
-        inflight.erase(block_addr);
-
-        bool any_write = false;
-        for (const auto &w : waiters) {
-            any_write |= w.isWrite;
-        }
-        fillL2(block_addr, false, done);
-        fillL1(block_addr, any_write, done);
-        for (auto &w : waiters) {
-            w.onDone(done);
-        }
-        waiters.clear();
-        waiterPool.push_back(std::move(waiters));
-        if (mshrFreedFn) {
-            mshrFreedFn();
-        }
+        completeFill(block_addr, done);
     });
     return Result{true, 0};
 }
 
+void
+CoreMemory::completeFill(Addr block_addr, Cycle done)
+{
+    std::vector<Waiter> *node = inflight.find(block_addr);
+    panic_if(!node, "fill completion without MSHR entry");
+    std::vector<Waiter> waiters = std::move(*node);
+    inflight.erase(block_addr);
+
+    bool any_write = false;
+    for (const Waiter &w : waiters) {
+        any_write |= w.isWrite;
+    }
+    fillL2(block_addr, false, done);
+    fillL1(block_addr, any_write, done);
+    // The client may issue new accesses from here; the list is ours.
+    if (client) {
+        client->fillDone(waiters, done);
+    }
+    waiters.clear();
+    waiterPool.push_back(std::move(waiters));
+}
+
 CoreMemory::Result
-CoreMemory::load(Addr addr, Cycle when, Callback on_done)
+CoreMemory::load(Addr addr, Cycle when, std::uint64_t tag)
 {
     ++statLoads;
     Addr a = blockAlign(addr);
@@ -147,11 +146,11 @@ CoreMemory::load(Addr addr, Cycle when, Callback on_done)
         fillL1(a, dirty, when);
         return Result{false, cfg.l1.latency + cfg.l2.latency};
     }
-    return accessBelowL2(a, false, when, std::move(on_done));
+    return accessBelowL2(a, Waiter{tag, false}, when);
 }
 
 CoreMemory::Result
-CoreMemory::store(Addr addr, Cycle when, Callback on_done)
+CoreMemory::store(Addr addr, Cycle when)
 {
     ++statStores;
     Addr a = blockAlign(addr);
@@ -170,7 +169,7 @@ CoreMemory::store(Addr addr, Cycle when, Callback on_done)
         return Result{false, 1};
     }
     // Write-allocate: fetch the block, then dirty it in L1 on arrival.
-    return accessBelowL2(a, true, when, std::move(on_done));
+    return accessBelowL2(a, Waiter{0, true}, when);
 }
 
 } // namespace dbsim

@@ -11,7 +11,7 @@
 #define DBSIM_CPU_CORE_MEMORY_HH
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "cache/tag_store.hh"
@@ -39,17 +39,44 @@ struct CoreMemoryConfig
 
 /**
  * The private L1+L2 in front of the shared LLC for one core.
+ *
+ * Accesses carry no closure. A load names itself with a POD tag (the
+ * core's instruction index); a miss parks {tag, isWrite} in its MSHR,
+ * and the fill hands the whole waiter list to the one Client the owning
+ * core installed. The only closure on the way down is the one the
+ * LlcPort interface takes per LLC access.
  */
 class CoreMemory
 {
   public:
-    using Callback = std::function<void(Cycle)>;
-
     /** Outcome of an access issued to the hierarchy. */
     struct Result
     {
-        bool pending;   ///< true: completion arrives via the callback
+        bool pending;   ///< true: completion arrives via Client::fillDone
         Cycle latency;  ///< valid when !pending
+    };
+
+    /** An access waiting on an in-flight fill of its block. */
+    struct Waiter
+    {
+        std::uint64_t tag;  ///< the load's tag (unused for a store)
+        bool isWrite;
+    };
+
+    /** Receiver of fill completions, installed once by the owning core. */
+    class Client
+    {
+      public:
+        virtual ~Client() = default;
+
+        /**
+         * A fill completed at cycle `when`: the block is in L1 and its
+         * MSHR is free. `waiters` are the accesses it satisfies, in
+         * issue order; each load's tag completes at `when`, and stores
+         * complete nothing (they only held the MSHR).
+         */
+        virtual void fillDone(std::span<const Waiter> waiters,
+                              Cycle when) = 0;
     };
 
     /**
@@ -62,17 +89,20 @@ class CoreMemory
 
     /**
      * Issue a load at cycle `when`. If it is satisfied privately the
-     * latency is returned; otherwise the callback fires with the
-     * completion cycle (fills happen then).
+     * latency is returned; otherwise the fill reports `tag` to the
+     * Client with the completion cycle (fills happen then).
      */
-    Result load(Addr addr, Cycle when, Callback on_done);
+    Result load(Addr addr, Cycle when, std::uint64_t tag);
 
     /**
      * Issue a store at cycle `when` (write-allocate). Stores never stall
-     * the pipeline model, but a store miss generates real fill traffic;
-     * the callback reports when the miss resolves (for MSHR accounting).
+     * the pipeline model, but a store miss generates real fill traffic
+     * and holds an MSHR until its fill reaches the Client.
      */
-    Result store(Addr addr, Cycle when, Callback on_done);
+    Result store(Addr addr, Cycle when);
+
+    /** Install the receiver of fill completions. */
+    void attachClient(Client *receiver) { client = receiver; }
 
     /**
      * Zero-time functional access for fast-forward warming. SMARTS-
@@ -90,12 +120,6 @@ class CoreMemory
     std::uint32_t mshrsInUse() const
     {
         return static_cast<std::uint32_t>(inflight.size());
-    }
-
-    /** Hook invoked whenever a fill completes and an MSHR frees. */
-    void onMshrFreed(std::function<void()> fn)
-    {
-        mshrFreedFn = std::move(fn);
     }
 
     Counter statLoads;
@@ -119,15 +143,10 @@ class CoreMemory
     void fillL2(Addr block_addr, bool dirty, Cycle when);
 
     /** Common miss path below L2. */
-    Result accessBelowL2(Addr block_addr, bool is_write, Cycle when,
-                         Callback on_done);
+    Result accessBelowL2(Addr block_addr, Waiter waiter, Cycle when);
 
-    /** An access waiting on an in-flight fill of its block. */
-    struct Waiter
-    {
-        bool isWrite;
-        Callback onDone;
-    };
+    /** The LLC answered the MSHR of block_addr at cycle `done`. */
+    void completeFill(Addr block_addr, Cycle done);
 
     CoreMemoryConfig cfg;
     LlcPort &llc;
@@ -140,7 +159,7 @@ class CoreMemory
     /** Retired waiter vectors, kept to reuse their capacity. */
     std::vector<std::vector<Waiter>> waiterPool;
 
-    std::function<void()> mshrFreedFn;
+    Client *client = nullptr;
 };
 
 } // namespace dbsim

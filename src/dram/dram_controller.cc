@@ -63,19 +63,43 @@ DramController::energySince(Cycle now) const
     return e;
 }
 
+std::uint32_t
+DramController::park(ReadCallback &&cb)
+{
+    if (freeSlots.empty()) {
+        cbSlots.push_back(std::move(cb));
+        return static_cast<std::uint32_t>(cbSlots.size() - 1);
+    }
+    std::uint32_t slot = freeSlots.back();
+    freeSlots.pop_back();
+    cbSlots[slot] = std::move(cb);
+    return slot;
+}
+
 void
-DramController::enqueueRead(Addr block_addr, Cycle when, ReadCallback cb)
+DramController::completeAt(std::uint32_t slot, Cycle done)
+{
+    eq.schedule(done, [this, slot, done] {
+        // Take the callback out before running it: it may enqueue a
+        // read that reuses the slot or grows the array.
+        ReadCallback cb = std::move(cbSlots[slot]);
+        freeSlots.push_back(slot);
+        cb(done);
+    }, prof::Dram);
+}
+
+void
+DramController::enqueueRead(Addr block_addr, Cycle when, ReadCallback &&cb)
 {
     Addr a = blockAlign(block_addr);
+    std::uint32_t slot = park(std::move(cb));
     // Read-around-write: forward from the write buffer if present.
     if (writeQAddrs.contains(a)) {
         ++statForwards;
-        Cycle done = when + cfg.ioLatency;
-        eq.schedule(done, [cb = std::move(cb), done] { cb(done); },
-                    prof::Dram);
+        completeAt(slot, when + cfg.ioLatency);
         return;
     }
-    readQ.push_back(ReadReq{decode(a, when), std::move(cb)});
+    readQ.push_back(decode(a, when, slot));
     scheduleService(when);
 }
 
@@ -115,9 +139,8 @@ DramController::scheduleService(Cycle when)
     }, prof::Dram);
 }
 
-template <typename Queue>
 int
-DramController::pickFrFcfs(const Queue &q) const
+DramController::pickFrFcfs(const std::vector<Request> &q) const
 {
     // First-Ready (row hit) first; FCFS among equals. The scan stops at
     // the first row hit — it is the oldest one — and falls back to the
@@ -264,12 +287,10 @@ DramController::serviceNext()
             return;
         }
         int idx = pickFrFcfs(readQ);
-        ReadReq req = std::move(readQ[static_cast<std::size_t>(idx)]);
+        Request req = readQ[static_cast<std::size_t>(idx)];
         readQ.erase(readQ.begin() + idx);
         Cycle data_end = issue(req, false, now);
-        Cycle done = data_end + cfg.ioLatency;
-        eq.schedule(done, [cb = std::move(req.cb), done] { cb(done); },
-                    prof::Dram);
+        completeAt(req.slot, data_end + cfg.ioLatency);
     }
 
     if (!readQ.empty() || !writeQ.empty()) {

@@ -13,7 +13,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -70,6 +69,11 @@ class DramObserver
  * The memory controller: the terminal BackingPort of every hierarchy
  * composition. Reads complete through a callback carrying the
  * completion cycle; writes are fire-and-forget into the write buffer.
+ *
+ * Each read's callback is parked once, on arrival, in a recycled slot
+ * array. The read and write queues hold 32-byte POD requests that name
+ * the slot, so FR-FCFS picks and erases move no closures, and the
+ * completion event carries only {controller, slot, cycle}.
  */
 class DramController : public BackingPort
 {
@@ -84,7 +88,7 @@ class DramController : public BackingPort
     ~DramController() override = default;
 
     /** Enqueue a block read arriving at cycle `when`. */
-    void enqueueRead(Addr block_addr, Cycle when, ReadCallback cb);
+    void enqueueRead(Addr block_addr, Cycle when, ReadCallback &&cb);
 
     /** Enqueue a block writeback arriving at cycle `when`. */
     void enqueueWrite(Addr block_addr, Cycle when);
@@ -108,6 +112,12 @@ class DramController : public BackingPort
 
     /** Number of waiting (unserviced) reads. */
     std::size_t pendingReads() const { return readQ.size(); }
+
+    /**
+     * Length of the parked-callback slot array. Slots are recycled, so
+     * it never exceeds the peak number of reads in flight at once.
+     */
+    std::size_t callbackSlots() const { return cbSlots.size(); }
 
     /** True while a write drain is in progress. */
     bool draining() const override { return drainMode; }
@@ -147,12 +157,8 @@ class DramController : public BackingPort
         Addr addr;
         Cycle arrive;
         std::uint32_t bank;
-        std::uint64_t row;  ///< global row id (DramAddrMap::rowId)
-    };
-
-    struct ReadReq : Request
-    {
-        ReadCallback cb;
+        std::uint32_t slot;  ///< a read's parked callback (cbSlots index)
+        std::uint64_t row;   ///< global row id (DramAddrMap::rowId)
     };
 
     /** Bank::openRow of a precharged (closed) bank. */
@@ -176,14 +182,20 @@ class DramController : public BackingPort
     void endDrain(Cycle now);
 
     /** A request for block-aligned `addr`, arriving at `arrive`. */
-    Request decode(Addr addr, Cycle arrive) const
+    Request decode(Addr addr, Cycle arrive, std::uint32_t slot = 0) const
     {
-        return Request{addr, arrive, map.bank(addr), map.rowId(addr)};
+        return Request{addr, arrive, map.bank(addr), slot,
+                       map.rowId(addr)};
     }
 
+    /** Park a read's callback; returns its slot. */
+    std::uint32_t park(ReadCallback &&cb);
+
+    /** Schedule the completion of the read parked in `slot` at `done`. */
+    void completeAt(std::uint32_t slot, Cycle done);
+
     /** FR-FCFS pick from a queue; returns index or -1 if empty. */
-    template <typename Queue>
-    int pickFrFcfs(const Queue &q) const;
+    int pickFrFcfs(const std::vector<Request> &q) const;
 
     /**
      * Issue one request to its bank; returns data-end cycle. Bank
@@ -206,8 +218,13 @@ class DramController : public BackingPort
     std::uint32_t activateIdx = 0;
     std::uint64_t numActivates = 0;
 
-    std::deque<ReadReq> readQ;
-    std::deque<Request> writeQ;
+    std::vector<Request> readQ;
+    std::vector<Request> writeQ;
+
+    /** Parked read callbacks, indexed by Request::slot. */
+    std::vector<ReadCallback> cbSlots;
+    /** Slots of cbSlots whose read has completed, free for reuse. */
+    std::vector<std::uint32_t> freeSlots;
 
     /**
      * Addresses currently in writeQ (coalescing keeps them distinct).

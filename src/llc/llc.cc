@@ -88,15 +88,15 @@ Llc::functionalAccess(Addr block_addr, std::uint32_t core, bool is_write)
     Addr a = blockAlign(block_addr);
     Cycle now = eq.now();
 
-    // Demand access: train the predictor with the true outcome, then
-    // touch or warm-fill. Misses also warm the level below.
-    TagStore::Slot slot = store.find(a);
+    // Demand access: warm-fill or touch in one set scan, and train the
+    // predictor with the true outcome (it reads no tag state, so it may
+    // learn after the fill). Misses also warm the level below.
+    TagStore::Slot slot = functionalAllocate(a, core, false);
     bool hit = slot != TagStore::kNoSlot;
     lookupPol->recordOutcome(a, core, hit, now);
     if (hit) {
         store.touchSlot(slot);
     } else {
-        functionalFill(a, core, false);
         backing.functionalAccess(a, false);
     }
 
@@ -113,37 +113,31 @@ Llc::functionalAccess(Addr block_addr, std::uint32_t core, bool is_write)
     endAuditOp();
 }
 
-void
-Llc::functionalFill(Addr block_addr, std::uint32_t core, bool dirty)
+TagStore::Slot
+Llc::functionalAllocate(Addr block_addr, std::uint32_t core, bool dirty)
 {
     Cycle now = eq.now();
-    if (TagStore::Slot s = store.find(block_addr); s != TagStore::kNoSlot) {
-        store.touchSlot(s);
-        if (dirty) {
-            store.setSlotDirty(s, true);
-        }
-        if (auditor) {
-            auditor->onFill(block_addr, dirty, now);
-        }
-        return;
+    TagStore::Fill f = store.insertIfAbsent(block_addr, core, dirty);
+    if (f.hit) {
+        return f.slot;
     }
-    TagStore::Eviction ev = store.insert(block_addr, core, dirty);
     if (auditor) {
         auditor->onFill(block_addr, dirty, now);
     }
-    if (ev.valid) {
-        if (dirtyStorePtr->functionalVictimDirty(ev.block, ev.dirty)) {
+    if (f.ev.valid) {
+        if (dirtyStorePtr->functionalVictimDirty(f.ev.block, f.ev.dirty)) {
             // Dirty functional eviction: the data reaches memory and
             // the metadata is dropped, exactly like the timed path —
             // minus the WritebackPolicy's proactive row sweep, which
             // is a timing optimization warming deliberately skips.
-            functionalWbToDram(ev.block);
-            dirtyStorePtr->functionalVictimWrittenBack(ev.block);
+            functionalWbToDram(f.ev.block);
+            dirtyStorePtr->functionalVictimWrittenBack(f.ev.block);
         }
         if (auditor) {
-            auditor->onEviction(ev.block, now);
+            auditor->onEviction(f.ev.block, now);
         }
     }
+    return TagStore::kNoSlot;
 }
 
 void
@@ -186,7 +180,7 @@ Llc::read(Addr block_addr, std::uint32_t core, Cycle when, Callback cb)
 
 void
 Llc::normalRead(Addr block_addr, std::uint32_t core, Cycle when,
-                Callback cb)
+                Callback &&cb)
 {
     Addr a = block_addr;
     Cycle start = occupyPort(when);
@@ -215,24 +209,21 @@ Llc::normalRead(Addr block_addr, std::uint32_t core, Cycle when,
 
     ++statDemandMisses;
     if constexpr (telemetry::kEnabled) {
-        cb = wrapReadLatency(telemetry::ReadClass::Miss, when,
-                             std::move(cb));
+        if (telem && telem->histogramsEnabled()) {
+            cb = wrapReadLatency(telemetry::ReadClass::Miss, when,
+                                 std::move(cb));
+        }
     }
     missToDram(a, core, tag_done, std::move(cb));
 }
 
 Llc::Callback
-Llc::wrapReadLatency(telemetry::ReadClass cls, Cycle when, Callback cb)
+Llc::wrapReadLatency(telemetry::ReadClass cls, Cycle when, Callback &&cb)
 {
-    if constexpr (telemetry::kEnabled) {
-        if (telem && telem->histogramsEnabled()) {
-            return [this, cls, when, cb = std::move(cb)](Cycle done) {
-                telem->readLatency(cls, done > when ? done - when : 0);
-                cb(done);
-            };
-        }
-    }
-    return cb;
+    return [this, cls, when, cb = std::move(cb)](Cycle done) {
+        telem->readLatency(cls, done > when ? done - when : 0);
+        cb(done);
+    };
 }
 
 std::uint64_t
@@ -252,7 +243,7 @@ Llc::countStoreDirtyInRow(Addr block_addr) const
 
 void
 Llc::missToDram(Addr block_addr, std::uint32_t core, Cycle when,
-                Callback cb)
+                Callback &&cb)
 {
     if (Pending *in_flight = pendingReads.find(block_addr)) {
         // Merge with the in-flight request for the same block.
@@ -390,40 +381,52 @@ Llc::handleEviction(Addr block_addr, bool tag_dirty, Cycle when)
 }
 
 void
-Llc::fillBlock(Addr block_addr, std::uint32_t core, bool dirty, Cycle when)
+Llc::notifyFill(Addr block_addr, std::uint32_t core, bool dirty, Cycle when)
 {
-    if (TagStore::Slot s = store.find(block_addr); s != TagStore::kNoSlot) {
-        // Already filled by a racing writeback-allocate: promote, and
-        // merge the incoming dirty state. Dropping it here would turn a
-        // dirty writeback silently clean and lose a memory update.
-        store.touchSlot(s);
-        if (dirty) {
-            store.setSlotDirty(s, true);
-        }
-        if (auditor) {
-            auditor->onFill(block_addr, dirty, when);
-        }
-        for (MetadataIndex *m : metaIndexes) {
-            m->onFill(block_addr, core, dirty, when);
-        }
-        return;
-    }
-    TagStore::Eviction ev = store.insert(block_addr, core, dirty);
     if (auditor) {
         auditor->onFill(block_addr, dirty, when);
     }
     for (MetadataIndex *m : metaIndexes) {
         m->onFill(block_addr, core, dirty, when);
     }
-    if (ev.valid) {
-        handleEviction(ev.block, ev.dirty, when);
+}
+
+void
+Llc::fillBlock(Addr block_addr, std::uint32_t core, bool dirty, Cycle when)
+{
+    TagStore::Slot s = allocateBlock(block_addr, core, dirty, when);
+    if (s == TagStore::kNoSlot) {
+        return;
+    }
+    // Already filled by a racing writeback-allocate: promote, and merge
+    // the incoming dirty state. Dropping it here would turn a dirty
+    // writeback silently clean and lose a memory update.
+    store.touchSlot(s);
+    if (dirty) {
+        store.setSlotDirty(s, true);
+    }
+    notifyFill(block_addr, core, dirty, when);
+}
+
+TagStore::Slot
+Llc::allocateBlock(Addr block_addr, std::uint32_t core, bool dirty,
+                   Cycle when)
+{
+    TagStore::Fill f = store.insertIfAbsent(block_addr, core, dirty);
+    if (f.hit) {
+        return f.slot;
+    }
+    notifyFill(block_addr, core, dirty, when);
+    if (f.ev.valid) {
+        handleEviction(f.ev.block, f.ev.dirty, when);
         if (auditor) {
-            auditor->onEviction(ev.block, when);
+            auditor->onEviction(f.ev.block, when);
         }
         for (MetadataIndex *m : metaIndexes) {
-            m->onEviction(ev.block, when);
+            m->onEviction(f.ev.block, when);
         }
     }
+    return TagStore::kNoSlot;
 }
 
 } // namespace dbsim

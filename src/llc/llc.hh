@@ -86,6 +86,11 @@ class LlcAuditObserver
  * writeback. An Llc is an LlcPort; on sliced machines the cores talk
  * to a router implementing the same interface that forwards each
  * access to the owning slice (possibly across shards).
+ *
+ * The read's callback is the one closure of an LLC access: CoreMemory
+ * builds it per MSHR (not per load) and captures only {this, block},
+ * so it fits std::function's inline buffer. It stays a closure, not a
+ * token, because decorators (routers, perfbench's timers) wrap it.
  */
 class LlcPort
 {
@@ -236,7 +241,7 @@ class Llc : public LlcPort
      * memory read in every composition goes through here.
      */
     void
-    dramRead(Addr block_addr, Cycle when, BackingPort::ReadCallback cb)
+    dramRead(Addr block_addr, Cycle when, BackingPort::ReadCallback &&cb)
     {
         backing.read(block_addr, when, std::move(cb));
     }
@@ -286,23 +291,34 @@ class Llc : public LlcPort
     void writebackToDram(Addr block_addr, Cycle when);
 
     /**
-     * Insert a block after a fill or writeback-allocate, routing any
-     * displaced victim through the eviction sequence (DirtyStore,
-     * WritebackPolicy, auditor, metadata indexes).
+     * Fill a block from memory: allocateBlock(), and if the block was
+     * already resident, promote it and merge `dirty` into it.
      */
     void fillBlock(Addr block_addr, std::uint32_t core, bool dirty,
                    Cycle when);
 
+    /**
+     * Insert a block if absent, in one scan of its set, routing any
+     * displaced victim through the eviction sequence (DirtyStore,
+     * WritebackPolicy, auditor, metadata indexes).
+     * @return the slot of an already-resident block, untouched (the
+     *         caller decides whether a hit promotes or dirties it), or
+     *         TagStore::kNoSlot when the block was inserted.
+     */
+    TagStore::Slot allocateBlock(Addr block_addr, std::uint32_t core,
+                                 bool dirty, Cycle when);
+
     /** The non-bypassed read path (tag lookup onward). */
     void normalRead(Addr block_addr, std::uint32_t core, Cycle when,
-                    Callback cb);
+                    Callback &&cb);
 
     /**
-     * Functional fillBlock(): insert or touch with no port, event, or
-     * registered-counter traffic; evictions route through the quiet
+     * Functional allocateBlock(): insert if absent with no port, event,
+     * or registered-counter traffic; evictions route through the quiet
      * DirtyStore variants and skip the WritebackPolicy.
      */
-    void functionalFill(Addr block_addr, std::uint32_t core, bool dirty);
+    TagStore::Slot functionalAllocate(Addr block_addr, std::uint32_t core,
+                                      bool dirty);
 
     /**
      * Functional writebackToDram(): the auditor sees the block reach
@@ -312,12 +328,12 @@ class Llc : public LlcPort
 
     /**
      * Wrap a read-completion callback so the request's latency lands in
-     * the class-`cls` histogram when it completes. Returns `cb`
-     * unchanged when no histogram would record (keeping the common path
-     * free of an extra std::function hop).
+     * the class-`cls` histogram when it completes. Call it only when
+     * telemetrySink() has histograms enabled: every other read keeps
+     * its callback unwrapped.
      */
     Callback wrapReadLatency(telemetry::ReadClass cls, Cycle when,
-                             Callback cb);
+                             Callback &&cb);
 
     /**
      * Dirty blocks the tag store currently holds in `block_addr`'s DRAM
@@ -358,9 +374,13 @@ class Llc : public LlcPort
      */
     void handleEviction(Addr block_addr, bool tag_dirty, Cycle when);
 
+    /** Tell the auditor and the metadata indexes about a fill. */
+    void notifyFill(Addr block_addr, std::uint32_t core, bool dirty,
+                    Cycle when);
+
     /** Issue the DRAM read for a demand miss, merging duplicates. */
     void missToDram(Addr block_addr, std::uint32_t core, Cycle when,
-                    Callback cb);
+                    Callback &&cb);
 
     LlcConfig cfg;
     BackingPort &backing;

@@ -15,12 +15,11 @@ TagDirtyStore::writebackIn(Addr block_addr, std::uint32_t core, Cycle when)
     Cycle start = llc->occupyPort(when);
     Cycle tag_done = start + llc->config().tagLatency;
 
-    TagStore &tags = llc->tags();
-    if (TagStore::Slot s = tags.find(block_addr); s != TagStore::kNoSlot) {
-        tags.setSlotDirty(s, true);
-    } else {
-        // Writeback-allocate: insert the incoming dirty block.
-        llc->fillBlock(block_addr, core, true, tag_done);
+    // Writeback-allocate the incoming dirty block, or dirty the
+    // resident copy in place (no promotion).
+    TagStore::Slot s = llc->allocateBlock(block_addr, core, true, tag_done);
+    if (s != TagStore::kNoSlot) {
+        llc->tags().setSlotDirty(s, true);
     }
 }
 
@@ -29,11 +28,9 @@ TagDirtyStore::functionalWritebackIn(Addr block_addr, std::uint32_t core)
 {
     // writebackIn() minus the port/stat traffic: mark or
     // writeback-allocate dirty.
-    TagStore &tags = llc->tags();
-    if (TagStore::Slot s = tags.find(block_addr); s != TagStore::kNoSlot) {
-        tags.setSlotDirty(s, true);
-    } else {
-        llc->functionalFill(block_addr, core, true);
+    TagStore::Slot s = llc->functionalAllocate(block_addr, core, true);
+    if (s != TagStore::kNoSlot) {
+        llc->tags().setSlotDirty(s, true);
     }
 }
 
@@ -127,9 +124,7 @@ DbiDirtyStore::writebackIn(Addr block_addr, std::uint32_t core, Cycle when)
 
     // 1) Insert/update the block in the cache (never via the tag store's
     //    dirty bit — the DBI is authoritative).
-    if (!llc->tags().contains(block_addr)) {
-        llc->fillBlock(block_addr, core, false, tag_done);
-    }
+    llc->allocateBlock(block_addr, core, false, tag_done);
 
     // 2) Update the DBI. A DBI eviction writes back the victim entry's
     //    blocks (which remain cached, now clean).
@@ -170,9 +165,7 @@ DbiDirtyStore::functionalWritebackIn(Addr block_addr, std::uint32_t core)
     // Mirror writebackIn(): allocate clean if absent, then mark dirty
     // in the DBI. A DBI eviction still drains its blocks (they become
     // clean), but with no lookups, cycles, or counters accounted.
-    if (!llc->tags().contains(block_addr)) {
-        llc->functionalFill(block_addr, core, false);
-    }
+    llc->functionalAllocate(block_addr, core, false);
     std::vector<Addr> drained = index->setDirty(block_addr,
                                                 /*account=*/false);
     for (Addr b : drained) {
@@ -442,8 +435,11 @@ SkipBypassLookup::tryBypass(Addr block_addr, std::uint32_t core,
     // safe. Bypassed misses do not allocate.
     ++llc->statBypasses;
     if constexpr (telemetry::kEnabled) {
-        cb = llc->wrapReadLatency(telemetry::ReadClass::Bypass, when,
-                                  std::move(cb));
+        if (telemetry::SimTelemetry *telem = llc->telemetrySink();
+            telem && telem->histogramsEnabled()) {
+            cb = llc->wrapReadLatency(telemetry::ReadClass::Bypass, when,
+                                      std::move(cb));
+        }
     }
     llc->dramRead(block_addr, when, std::move(cb));
     return true;
@@ -501,9 +497,11 @@ ClbBypassLookup::tryBypass(Addr block_addr, std::uint32_t core, Cycle when,
     if constexpr (telemetry::kEnabled) {
         if (telemetry::SimTelemetry *telem = llc->telemetrySink()) {
             telem->clbDecision(block_addr, checked, false);
+            if (telem->histogramsEnabled()) {
+                cb = llc->wrapReadLatency(telemetry::ReadClass::Bypass,
+                                          when, std::move(cb));
+            }
         }
-        cb = llc->wrapReadLatency(telemetry::ReadClass::Bypass, when,
-                                  std::move(cb));
     }
     llc->dramRead(block_addr, checked, std::move(cb));
     return true;

@@ -6,6 +6,10 @@
  * exposes the machine-wide DRAM address map, and reports write-drain
  * pressure for observers.
  *
+ * The read callback is the one closure of a memory read. Levels pass it
+ * down by move; the terminal DramController parks it once in a slot
+ * array and queues only POD requests that name the slot.
+ *
  * Implementations form a chain:
  *
  *   Llc slice --> [DramCache] --> [ShardMemRouter] --> DramController

@@ -207,6 +207,98 @@ TEST(TagStore, PropertyMatchesReferenceModel)
     }
 }
 
+/**
+ * Property: insertIfAbsent() is find() then, when absent, insert(), in
+ * one scan. Two twin stores take the same seeded op stream, one through
+ * find + touchSlot/insert and the other through insertIfAbsent, and
+ * after every op agree on the slot, the hit, the eviction, the dirty
+ * count, the stats, the replacement order and every entry, for every
+ * replacement policy. Hits act the two ways callers act on them:
+ * promote (a fill) or only dirty in place (a writeback-in).
+ */
+TEST(TagStore, FillMatchesFindThenInsert)
+{
+    for (ReplPolicy repl : {ReplPolicy::Lru, ReplPolicy::TaDip,
+                            ReplPolicy::Drrip, ReplPolicy::Random}) {
+        SCOPED_TRACE(testing::Message()
+                     << "policy " << static_cast<int>(repl));
+        // 4KB, 4-way: 16 sets, so set-dueling leaders are sets 0..3.
+        TagStore ref(CacheGeometry{4096, 4, repl, 2, 5});
+        TagStore fused(CacheGeometry{4096, 4, repl, 2, 5});
+        Rng rng(91);
+        for (int op = 0; op < 20000; ++op) {
+            Addr a = blockAlign(rng.below(1 << 15));
+            std::uint64_t kind = rng.below(10);
+            if (kind == 0) {
+                ref.invalidate(a);  // absent blocks are a no-op
+                fused.invalidate(a);
+            } else {
+                auto thread = static_cast<std::uint32_t>(rng.below(2));
+                bool dirty = rng.chance(0.3);
+                bool promote = kind != 1;
+
+                TagStore::Slot ref_slot = ref.find(a);
+                bool ref_hit = ref_slot != TagStore::kNoSlot;
+                TagStore::Eviction ref_ev;
+                if (ref_hit) {
+                    if (promote) {
+                        ref.touchSlot(ref_slot);
+                    }
+                    if (dirty) {
+                        ref.setSlotDirty(ref_slot, true);
+                    }
+                } else {
+                    ref_ev = ref.insert(a, thread, dirty);
+                    ref_slot = ref.find(a);
+                }
+
+                TagStore::Fill f = fused.insertIfAbsent(a, thread, dirty);
+                if (f.hit) {
+                    if (promote) {
+                        fused.touchSlot(f.slot);
+                    }
+                    if (dirty) {
+                        fused.setSlotDirty(f.slot, true);
+                    }
+                }
+
+                ASSERT_EQ(f.hit, ref_hit) << "op " << op;
+                ASSERT_EQ(f.slot, ref_slot) << "op " << op;
+                ASSERT_EQ(f.ev.valid, ref_ev.valid) << "op " << op;
+                ASSERT_EQ(f.ev.block, ref_ev.block) << "op " << op;
+                ASSERT_EQ(f.ev.dirty, ref_ev.dirty) << "op " << op;
+                ASSERT_EQ(fused.lastInsertUsedBimodal(),
+                          ref.lastInsertUsedBimodal());
+            }
+
+            ASSERT_EQ(fused.countDirty(), ref.countDirty()) << "op " << op;
+            ASSERT_EQ(fused.statHits.value(), ref.statHits.value());
+            ASSERT_EQ(fused.statMisses.value(), ref.statMisses.value());
+            ASSERT_EQ(fused.statInsertions.value(),
+                      ref.statInsertions.value());
+            ASSERT_EQ(fused.statEvictions.value(),
+                      ref.statEvictions.value());
+            for (std::uint32_t set = 0; set < ref.numSets(); ++set) {
+                for (std::uint32_t way = 0; way < ref.assoc(); ++way) {
+                    TagStore::Entry x = ref.entryAt(set, way);
+                    TagStore::Entry y = fused.entryAt(set, way);
+                    ASSERT_EQ(y.valid, x.valid) << "op " << op;
+                    ASSERT_EQ(y.block, x.block) << "op " << op;
+                    ASSERT_EQ(y.dirty, x.dirty) << "op " << op;
+                    if (x.valid) {
+                        ASSERT_EQ(fused.lruRank(y.block),
+                                  ref.lruRank(x.block));
+                    }
+                }
+            }
+        }
+        // The stream exercised hits, free-way fills and evictions.
+        EXPECT_GT(ref.statHits.value(), 1000u);
+        EXPECT_GT(ref.statEvictions.value(), 1000u);
+        EXPECT_GT(ref.statInsertions.value(), ref.statEvictions.value());
+    }
+}
+
 TEST(TagStoreDeath, InsertOfResidentBlockPanics)
 {
     // The resident block sits in a later way than the first free one:

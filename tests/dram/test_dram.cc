@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/rng.hh"
 #include "dram/dram_controller.hh"
 
 namespace dbsim {
@@ -255,6 +257,122 @@ TEST_F(DramTest, StatsSnapshotResetsRates)
     readLatency(kBlockBytes, eq.now() + 1);
     EXPECT_EQ(ctrl.statReads.sinceSnapshot(), 1u);
     EXPECT_NEAR(ctrl.readRowHitRate(), 1.0, 1e-9);
+}
+
+/**
+ * The controller's scheduling is frozen: a seeded stream of 20k reads
+ * and writes over two geometries, mixing row hits and conflicts within
+ * a few hot rows per bank, reads forwarded from the write buffer,
+ * coalesced writes, and many drains. FNV-1a folds each read's (enqueue
+ * index, completion cycle) in completion order, then every dram.*
+ * counter. The behavioural tests above compare the controller against
+ * itself; only this catches a queue rewrite that reorders a single
+ * request. A deliberate change to the timing model regenerates the
+ * table from the failure messages, as for the mechanism goldens. The
+ * parked-callback array must also stay within the peak number of reads
+ * in flight: slots are recycled, never leaked.
+ */
+TEST_F(DramTest, CompletionStreamMatchesFrozenDigest)
+{
+    struct Frozen
+    {
+        const char *name;
+        DramConfig cfg;
+        std::uint64_t digest;
+    };
+    DramConfig table1;  // 8 banks, 8 KB rows, 64-entry buffer
+    DramConfig wide;    // 16 banks, 4 KB rows, 2 channels, partial drains
+    wide.numBanks = 16;
+    wide.rowBytes = 4096;
+    wide.channels = 2;
+    wide.writeBufEntries = 16;
+    wide.drainLowWatermark = 4;
+    const Frozen kFrozen[] = {
+        {"table1", table1, 0x7de39102cc742146ULL},
+        {"wide", wide, 0x74a00757946b9b1eULL},
+    };
+
+    auto fold = [](std::uint64_t h, std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 1099511628211ULL;
+        }
+        return h;
+    };
+    for (const Frozen &f : kFrozen) {
+        EventQueue queue;
+        DramController dram(f.cfg, queue);
+        const DramAddrMap &map = dram.addrMap();
+        Rng rng(0x5eed'd7a3ULL);
+        std::uint64_t h = 14695981039346656037ULL;
+        std::uint64_t in_flight = 0;
+        std::uint64_t peak_in_flight = 0;
+        std::size_t peak_queued = 0;
+        std::uint64_t reads = 0;
+        std::uint64_t completed = 0;
+        std::vector<Addr> recent_writes;
+        Cycle t = 0;
+        for (std::uint64_t i = 0; i < 20000; ++i) {
+            // Mostly back-to-back arrivals so the queues fill; now and
+            // then an idle gap so they drain out.
+            t += rng.below(100) == 0 ? 3000 : rng.below(60);
+            queue.runUntil(t);
+            Addr a;
+            std::uint64_t kind = rng.below(100);
+            if (kind < 10 && !recent_writes.empty()) {
+                // Reuse a recently written block: a forward or a
+                // coalesce, if it is still buffered.
+                a = recent_writes[rng.below(recent_writes.size())];
+            } else {
+                // Four hot rows per bank: row hits and conflicts.
+                std::uint64_t bank = rng.below(map.numBanks());
+                std::uint64_t row = rng.below(4);
+                std::uint64_t col = rng.below(map.blocksPerRow());
+                a = (row * map.numBanks() + bank) * map.rowBytes() +
+                    col * kBlockBytes;
+            }
+            if (rng.below(100) < 40) {
+                dram.enqueueWrite(a, t);
+                recent_writes.push_back(a);
+                if (recent_writes.size() > 32) {
+                    recent_writes.erase(recent_writes.begin());
+                }
+            } else {
+                std::uint64_t idx = reads++;
+                ++in_flight;
+                peak_in_flight = std::max(peak_in_flight, in_flight);
+                dram.enqueueRead(a, t, [&, idx](Cycle c) {
+                    --in_flight;
+                    ++completed;
+                    h = fold(fold(h, idx), c);
+                });
+                peak_queued = std::max(peak_queued, dram.pendingReads());
+            }
+        }
+        queue.runAll();
+        EXPECT_EQ(completed, reads) << f.name;
+        StatSet set("dram");
+        dram.registerStats(set);
+        for (const auto &[name, value] : set.collect()) {
+            h = fold(h, value);
+        }
+        EXPECT_GT(dram.statDrains.value(), 10u) << f.name;
+        EXPECT_GT(dram.statForwards.value(), 0u) << f.name;
+        EXPECT_GT(dram.statCoalesced.value(), 0u) << f.name;
+        EXPECT_GT(dram.statReadRowHits.value(), 0u) << f.name;
+        EXPECT_LT(dram.statReadRowHits.value(), dram.statReads.value())
+            << f.name;
+        EXPECT_GT(peak_queued, 4u) << f.name;  // FR-FCFS had choices
+        // Completed reads return their callback slots for reuse.
+        EXPECT_LE(dram.callbackSlots(), peak_in_flight) << f.name;
+        EXPECT_EQ(h, f.digest)
+            << f.name << ": 0x" << std::hex << h << " reads=" << std::dec
+            << reads << " peak=" << peak_in_flight << " queued="
+            << peak_queued << " drains=" << dram.statDrains.value()
+            << " fwd=" << dram.statForwards.value()
+            << " coal=" << dram.statCoalesced.value() << " rowhits="
+            << dram.statReadRowHits.value();
+    }
 }
 
 } // namespace
